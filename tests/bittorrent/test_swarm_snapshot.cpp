@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "bittorrent/scenario.hpp"
 #include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
+#include "bittorrent/tracker_sim.hpp"
 
 namespace strat::bt {
 namespace {
@@ -398,6 +400,102 @@ TEST(SwarmSnapshot, RejectsConfigOverrideMismatch) {
   EXPECT_NO_THROW((void)resume_from_string(bytes, cfg));
   cfg.piece_kb *= 2.0;  // not allowed to differ
   EXPECT_THROW((void)resume_from_string(bytes, cfg), SnapshotError);
+}
+
+// --- format pins -----------------------------------------------------------
+//
+// FNV-64 digests of save() bytes, captured before the serializers were
+// rewritten as shared field lists. The re-save identity tests cannot
+// see a format change made the same way on both sides; these can. A
+// digest may only change together with kSnapshotVersion.
+
+std::uint64_t fnv64(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// Churned and faulted swarm saved inside a tracker outage while at
+/// least one peer waits out its announce backoff; the churn companion
+/// section is appended to the same stream.
+std::string mid_outage_stream(bool retain_departed) {
+  constexpr std::size_t kPeers = 40;
+  SwarmConfig cfg = base_config(kPeers);
+  cfg.neighbor_degree = 8.0;
+  cfg.num_pieces = 32;
+  cfg.retain_departed = retain_departed;
+  cfg.faults.outage_period = 6;
+  cfg.faults.outage_duration = 3;
+  cfg.faults.outage_phase = 1;
+  cfg.faults.connect_failure_prob = 0.2;
+  cfg.faults.connect_attempts = 2;
+  cfg.faults.nat_fraction = 0.25;
+  cfg.faults.lane_loss_prob = 0.05;
+  cfg.faults.backoff_base = 1;
+  cfg.faults.backoff_cap = 8;
+  graph::Rng rng(kSeed);
+  Swarm swarm(cfg, capacities(kPeers), rng);
+  ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+  churn.attach(swarm);
+  for (std::size_t r = 0; r < 12; ++r) {
+    churn.before_round(swarm);
+    swarm.run_round();
+  }
+  EXPECT_TRUE(cfg.faults.tracker_down(swarm.rounds_elapsed())) << "must save mid-outage";
+  EXPECT_GT(swarm.fault_state().degraded_count(), 0u) << "a backoff deadline must be pending";
+  EXPECT_GT(swarm.departures(), 0u);
+  std::ostringstream out(std::ios::binary);
+  swarm.save(out);
+  save_churn_driver(out, churn);
+  return std::move(out).str();
+}
+
+std::string tracker_stream() {
+  TrackerConfig tcfg;
+  tcfg.arrival_rate = 3.0;
+  tcfg.zipf_exponent = 1.0;
+  tcfg.multi_torrent_fraction = 0.5;
+  tcfg.arrival_model = BandwidthModel::saroiu2002();
+  tcfg.swarm_churn.lifetime = ChurnSpec::Lifetime::kExponential;
+  tcfg.swarm_churn.lifetime_rounds = 15.0;
+  tcfg.swarm_churn.arrival_completion = 0.25;
+  constexpr std::size_t kSwarms = 2;
+  constexpr std::size_t kPeers = 10;
+  std::vector<TrackerSwarmSeed> seeds(kSwarms);
+  for (std::size_t k = 0; k < kSwarms; ++k) {
+    SwarmConfig cfg = base_config(kPeers);
+    cfg.neighbor_degree = 4.0;
+    cfg.num_pieces = 16;
+    seeds[k].config = cfg;
+    seeds[k].members.resize(kPeers);
+    for (std::size_t i = 0; i < kPeers; ++i) {
+      seeds[k].members[i] = static_cast<GlobalPeerId>(k * kPeers + i);
+    }
+  }
+  TrackerSim tracker(tcfg, std::move(seeds), capacities(kSwarms * kPeers), kSeed);
+  tracker.run(8);
+  std::ostringstream out(std::ios::binary);
+  tracker.save(out);
+  return std::move(out).str();
+}
+
+TEST(SnapshotFormat, TinyStaticSwarmDigest) {
+  EXPECT_EQ(fnv64(tiny_snapshot()), 0x6a406fa4a768af89ULL);
+}
+
+TEST(SnapshotFormat, MidOutageChurnedSwarmDigest) {
+  EXPECT_EQ(fnv64(mid_outage_stream(/*retain_departed=*/true)), 0x419545857297be44ULL);
+}
+
+TEST(SnapshotFormat, MidOutageAggregatesOnlySwarmDigest) {
+  EXPECT_EQ(fnv64(mid_outage_stream(/*retain_departed=*/false)), 0x9920b8c629398faaULL);
+}
+
+TEST(SnapshotFormat, TwoSwarmTrackerDigest) {
+  EXPECT_EQ(fnv64(tracker_stream()), 0x164e36e425e11b65ULL);
 }
 
 TEST(SwarmSnapshot, RejectsChurnSectionAsSwarmSnapshot) {
