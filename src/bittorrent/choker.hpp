@@ -61,6 +61,15 @@ class TftChoker {
     std::size_t optimistic_rounds = 1;
     std::size_t rounds_since_rotation = 0;
     core::PeerId optimistic = core::kNoPeer;
+
+    /// Snapshot field list (one per row in the peers section).
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& st) {
+      ar.io(st.tft_slots);
+      ar.io(st.optimistic_rounds);
+      ar.io(st.rounds_since_rotation);
+      ar.io(st.optimistic);
+    }
   };
 
   [[nodiscard]] State state() const noexcept {

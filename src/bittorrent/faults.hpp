@@ -26,8 +26,8 @@
 // runs are bitwise identical to the pre-fault simulator.
 //
 // FaultState is live run state and serializes as its own tagged
-// snapshot section (snapshot.cpp: write_faults/read_faults) under the
-// strat-lint R4 contract.
+// snapshot section through FaultState::fields under the strat-lint R4
+// contract.
 #pragma once
 
 #include <cstddef>
@@ -92,6 +92,20 @@ struct FaultSpec {
     for (std::size_t i = 1; i < failures && d < backoff_cap; ++i) d <<= 1;
     return d < backoff_cap ? d : backoff_cap;
   }
+
+  /// Snapshot field list (inside the config section), in stream order.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& f) {
+    ar.io(f.outage_period);
+    ar.io(f.outage_duration);
+    ar.io(f.outage_phase);
+    ar.io(f.connect_failure_prob);
+    ar.io(f.connect_attempts);
+    ar.io(f.nat_fraction);
+    ar.io(f.lane_loss_prob);
+    ar.io(f.backoff_base);
+    ar.io(f.backoff_cap);
+  }
 };
 
 /// Live fault state. The flat plane indexes the per-peer vectors by
@@ -130,6 +144,23 @@ class FaultState {
   void reset_retry(std::size_t i);
   /// Peers currently running degraded (a retry is pending).
   [[nodiscard]] std::size_t degraded_count() const noexcept;
+
+  /// Snapshot field list (the faults section): the per-row vectors in
+  /// the same row order as the peers section, then the counters.
+  /// Written unconditionally — with faults off the vectors are still
+  /// row-sized, so the loader's size checks stay uniform.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& fs) {
+    ar.span(fs.nat_);
+    ar.span(fs.retry_round_);
+    ar.span(fs.retry_count_);
+    ar.span(fs.announce_seq_);
+    ar.io(fs.failed_announces_);
+    ar.io(fs.announce_retries_);
+    ar.io(fs.connect_failures_);
+    ar.io(fs.nat_rejections_);
+    ar.io(fs.lost_lanes_);
+  }
 };
 
 }  // namespace strat::bt

@@ -253,12 +253,33 @@ class ChurnDriver {
   /// capacity_cursor(). The driver must have been constructed with the
   /// same spec, config and pool as the one that was checkpointed —
   /// those are inputs, not state — or the continued run diverges.
+  /// Throws std::invalid_argument (driver unchanged) unless the
+  /// deadline ids are strictly ascending.
   void restore(std::span<const std::pair<core::PeerId, double>> deadlines,
                std::size_t capacity_cursor) {
+    for (std::size_t i = 1; i < deadlines.size(); ++i) {
+      if (deadlines[i].first <= deadlines[i - 1].first) {
+        throw std::invalid_argument("ChurnDriver::restore: deadline ids not strictly ascending");
+      }
+    }
     deadline_.clear();
     deadline_.reserve(deadlines.size());
     for (const auto& [p, d] : deadlines) deadline_.emplace(p, d);
     next_capacity_ = capacity_cursor;
+  }
+
+  /// Snapshot field list of the churn companion section (snapshot.hpp
+  /// save_churn_driver()/restore_churn_driver()): deadlines sorted by
+  /// peer id, then the capacity-pool cursor. On load, restore()
+  /// validates and installs both.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& driver) {
+    std::vector<std::pair<core::PeerId, double>> deadlines;
+    if constexpr (!Ar::kLoading) deadlines = driver.deadline_snapshot();
+    ar.seq(deadlines);
+    std::size_t cursor = driver.next_capacity_;
+    ar.io(cursor);
+    if constexpr (Ar::kLoading) driver.restore(deadlines, cursor);
   }
 
  private:
@@ -306,7 +327,6 @@ class ChurnDriver {
   // Live-id snapshot scratch, O(live), reused across rounds.
   // strat-lint: not-serialized -- scratch, reassigned before every use
   std::vector<core::PeerId> live_scratch_;
-  // strat-lint: serialized-via(capacity_cursor, restore)
   std::size_t next_capacity_ = 0;
 };
 

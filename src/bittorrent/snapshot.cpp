@@ -1,6 +1,7 @@
 // Swarm checkpoint serialization: Writer/Reader primitives plus
-// Swarm::save()/resume() (members of Swarm so no friend surface is
-// needed). See snapshot.hpp for the format contract.
+// Swarm::fields, the one field list behind Swarm::save()/resume()
+// (members of Swarm so no friend surface is needed). See snapshot.hpp
+// for the format contract.
 #include "bittorrent/snapshot.hpp"
 
 #include <cstring>
@@ -60,7 +61,7 @@ void Writer::finish() {
 }
 
 Reader::Reader(std::istream& in) : in_(in), hash_(kHashBasis) {
-  // On a seekable stream, learn how many bytes remain so pod_vec can
+  // On a seekable stream, learn how many bytes remain so span() can
   // reject a lying length prefix before allocating anything.
   const std::istream::pos_type cur = in_.tellg();
   if (cur != std::istream::pos_type(-1)) {
@@ -109,9 +110,23 @@ void Reader::raw_read_slow(void* data, std::size_t n) {
   rpos_ = n;
 }
 
-void Reader::expect_tag(std::uint32_t t, const char* section) {
-  if (u32() != t) {
-    throw SnapshotError(std::string("snapshot: missing section tag '") + section + "'");
+void Reader::header(std::uint64_t magic, const char* name) {
+  std::uint64_t stored_magic = 0;
+  io(stored_magic);
+  if (stored_magic != magic) throw SnapshotError(std::string(name) + ": bad magic");
+  std::uint32_t version = 0;
+  io(version);
+  if (version != kSnapshotVersion) {
+    throw SnapshotError(std::string(name) + ": unsupported version " + std::to_string(version) +
+                        " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
+  }
+}
+
+void Reader::section(std::uint32_t tag, const char* name) {
+  std::uint32_t stored = 0;
+  io(stored);
+  if (stored != tag) {
+    throw SnapshotError(std::string("snapshot: missing section tag '") + name + "'");
   }
 }
 
@@ -138,44 +153,20 @@ using snapshot_detail::Writer;
 
 constexpr std::uint32_t kNoRetired = std::numeric_limits<std::uint32_t>::max();
 
-/// Section tags, in stream order. Each section below lists the Swarm
-/// members it carries — strat-lint R4 (snapshot-complete) cross-checks
-/// this file against the member list in swarm.hpp, so this checklist
-/// doubles as the format documentation: a member added to the class
-/// must show up in one of these sections (or carry a written waiver)
-/// before the tree lints clean. R4 also verifies every tag is both
-/// written by save_impl and expected by resume_impl.
-/// Scenario/config values (SwarmConfig, field-by-field).
+/// Section tags, in stream order (the section map is in snapshot.hpp).
+/// strat-lint R4 checks that each one appears in Swarm::fields.
 constexpr std::uint32_t kTagConfig = 1;
-/// RNG: choke_key_ plus the xoshiro word state and the Box-Muller
-/// cache of the structural rng_.
 constexpr std::uint32_t kTagRng = 2;
-/// Peer table: id space, live ids (row order), row generations.
 constexpr std::uint32_t kTagTable = 3;
-/// Scalar counters: round_, leechers_, arrivals_, departures_,
-/// retired_completed_.
 constexpr std::uint32_t kTagCounters = 4;
-/// Edge-slot pool: edge_peer_, mirror_, slot_gen_, free_slots_,
-/// rate_in_, rate_out_, inflight_, mutual_rounds_ (now_in_/now_out_
-/// deliberately absent — zeroed at every round boundary).
 constexpr std::uint32_t kTagSlots = 5;
-/// Per-row hot state in row order: stats_, have_, chokers_, unchoked_,
-/// nbr_/nslot_, partial_.
 constexpr std::uint32_t kTagPeers = 6;
-/// Retired records: retirement-order ids (the inverse of retired_ix_),
-/// retired_stats_, retired_mutual_.
 constexpr std::uint32_t kTagRetired = 7;
-/// Piece-availability cross-check (derived from live have_ bitfields;
-/// the loader recomputes and must match).
 constexpr std::uint32_t kTagAvail = 8;
-/// Live fault state (Swarm::faults_, row order): nat_, retry_round_,
-/// retry_count_, announce_seq_, plus the run-total fault counters.
-/// Serialized even with faults disabled (all-empty vectors, zero
-/// counters) so the section layout never depends on config.
 constexpr std::uint32_t kTagFaults = 9;
 
-// Allocation guards for length-prefixed vectors: generous multiples of
-// any real run, tight enough that a corrupt length can't OOM the host.
+// Allocation guards: generous multiples of any real run, tight enough
+// that a corrupt scalar can't size a multi-GB container.
 constexpr std::size_t kMaxPeersEver = std::size_t{1} << 32;
 constexpr std::size_t kMaxSlots = std::size_t{1} << 33;
 // 2^24 pieces x 256 KB is a 4 TB torrent — anything above is a corrupt
@@ -183,167 +174,28 @@ constexpr std::size_t kMaxSlots = std::size_t{1} << 33;
 // (picker, per-row bitfields) are allocated.
 constexpr std::size_t kMaxPieces = std::size_t{1} << 24;
 
-void write_config(Writer& w, const SwarmConfig& c) {
-  w.tag(kTagConfig);
-  w.u64(c.num_peers);
-  w.u64(c.seeds);
-  w.u64(c.num_pieces);
-  w.f64(c.piece_kb);
-  w.u64(c.tft_slots);
-  w.u64(c.optimistic_rounds);
-  w.f64(c.round_seconds);
-  w.f64(c.neighbor_degree);
-  w.u8(c.post_flashcrowd ? 1 : 0);
-  w.f64(c.initial_completion);
-  w.u8(c.stay_as_seed ? 1 : 0);
-  w.f64(c.seed_upload_kbps);
-  w.f64(c.rate_smoothing);
-  w.pod_span(c.tft_slots_per_peer.data(), c.tft_slots_per_peer.size());
-  w.u8(c.endgame ? 1 : 0);
-  w.u8(c.retain_departed ? 1 : 0);
-  w.u64(c.threads);
-  w.u64(c.faults.outage_period);
-  w.u64(c.faults.outage_duration);
-  w.u64(c.faults.outage_phase);
-  w.f64(c.faults.connect_failure_prob);
-  w.u64(c.faults.connect_attempts);
-  w.f64(c.faults.nat_fraction);
-  w.f64(c.faults.lane_loss_prob);
-  w.u64(c.faults.backoff_base);
-  w.u64(c.faults.backoff_cap);
-}
-
-SwarmConfig read_config(Reader& r) {
-  r.expect_tag(kTagConfig, "config");
-  SwarmConfig c;
-  c.num_peers = static_cast<std::size_t>(r.u64());
-  c.seeds = static_cast<std::size_t>(r.u64());
-  c.num_pieces = static_cast<std::size_t>(r.u64());
-  c.piece_kb = r.f64();
-  c.tft_slots = static_cast<std::size_t>(r.u64());
-  c.optimistic_rounds = static_cast<std::size_t>(r.u64());
-  c.round_seconds = r.f64();
-  c.neighbor_degree = r.f64();
-  c.post_flashcrowd = r.u8() != 0;
-  c.initial_completion = r.f64();
-  c.stay_as_seed = r.u8() != 0;
-  c.seed_upload_kbps = r.f64();
-  c.rate_smoothing = r.f64();
-  c.tft_slots_per_peer = r.pod_vec<std::size_t>(kMaxPeersEver, "tft_slots_per_peer");
-  c.endgame = r.u8() != 0;
-  c.retain_departed = r.u8() != 0;
-  c.threads = static_cast<std::size_t>(r.u64());
-  c.faults.outage_period = static_cast<std::size_t>(r.u64());
-  c.faults.outage_duration = static_cast<std::size_t>(r.u64());
-  c.faults.outage_phase = static_cast<std::size_t>(r.u64());
-  c.faults.connect_failure_prob = r.f64();
-  c.faults.connect_attempts = static_cast<std::size_t>(r.u64());
-  c.faults.nat_fraction = r.f64();
-  c.faults.lane_loss_prob = r.f64();
-  c.faults.backoff_base = static_cast<std::size_t>(r.u64());
-  c.faults.backoff_cap = static_cast<std::size_t>(r.u64());
-  return c;
-}
-
-/// The resume() config-override contract: every simulation-semantic
-/// field must match the checkpointed config bitwise; only `threads`
-/// (which cannot change results, just wall clock) may differ.
-void check_config_override(const SwarmConfig& stored, const SwarmConfig& override_config) {
-  const bool same = stored.num_peers == override_config.num_peers &&
-                    stored.seeds == override_config.seeds &&
-                    stored.num_pieces == override_config.num_pieces &&
-                    stored.piece_kb == override_config.piece_kb &&
-                    stored.tft_slots == override_config.tft_slots &&
-                    stored.optimistic_rounds == override_config.optimistic_rounds &&
-                    stored.round_seconds == override_config.round_seconds &&
-                    stored.neighbor_degree == override_config.neighbor_degree &&
-                    stored.post_flashcrowd == override_config.post_flashcrowd &&
-                    stored.initial_completion == override_config.initial_completion &&
-                    stored.stay_as_seed == override_config.stay_as_seed &&
-                    stored.seed_upload_kbps == override_config.seed_upload_kbps &&
-                    stored.rate_smoothing == override_config.rate_smoothing &&
-                    stored.tft_slots_per_peer == override_config.tft_slots_per_peer &&
-                    stored.endgame == override_config.endgame &&
-                    stored.retain_departed == override_config.retain_departed &&
-                    stored.faults.outage_period == override_config.faults.outage_period &&
-                    stored.faults.outage_duration == override_config.faults.outage_duration &&
-                    stored.faults.outage_phase == override_config.faults.outage_phase &&
-                    stored.faults.connect_failure_prob ==
-                        override_config.faults.connect_failure_prob &&
-                    stored.faults.connect_attempts == override_config.faults.connect_attempts &&
-                    stored.faults.nat_fraction == override_config.faults.nat_fraction &&
-                    stored.faults.lane_loss_prob == override_config.faults.lane_loss_prob &&
-                    stored.faults.backoff_base == override_config.faults.backoff_base &&
-                    stored.faults.backoff_cap == override_config.faults.backoff_cap;
-  if (!same) {
-    throw SnapshotError(
-        "snapshot: config override differs from the checkpointed config "
-        "in a simulation-semantic field (only `threads` may change)");
+/// resume() accepts exactly the configs the constructor accepts, and
+/// none too large to size the piece containers from.
+void check_config(const SwarmConfig& c) {
+  try {
+    validate(c);
+  } catch (const std::invalid_argument& e) {
+    throw SnapshotError(std::string("snapshot: invalid config (") + e.what() + ")");
+  }
+  if (c.num_pieces > kMaxPieces || c.num_peers + c.seeds > kMaxPeersEver) {
+    throw SnapshotError("snapshot: invalid config (size beyond the format limits)");
   }
 }
 
-void write_stats(Writer& w, const PeerStats& s) {
-  w.f64(s.upload_kbps);
-  w.f64(s.uploaded_kb);
-  w.f64(s.downloaded_kb);
-  w.u64(s.pieces);
-  w.f64(s.completion_round);
-  w.u8(s.seed ? 1 : 0);
-  w.f64(s.join_round);
-  w.f64(s.leave_round);
-}
-
-PeerStats read_stats(Reader& r) {
-  PeerStats s;
-  s.upload_kbps = r.f64();
-  s.uploaded_kb = r.f64();
-  s.downloaded_kb = r.f64();
-  s.pieces = static_cast<std::size_t>(r.u64());
-  s.completion_round = r.f64();
-  s.seed = r.u8() != 0;
-  s.join_round = r.f64();
-  s.leave_round = r.f64();
-  return s;
-}
-
-/// The kTagFaults section: per-row fault vectors (nat_, retry_round_,
-/// retry_count_, announce_seq_) in the same row order as kTagPeers,
-/// then the five run-total counters (failed_announces_,
-/// announce_retries_, connect_failures_, nat_rejections_,
-/// lost_lanes_). Written unconditionally — with faults off the vectors
-/// are still row-sized (all-default) so the loader's size checks stay
-/// uniform.
-void write_faults(Writer& w, const FaultState& fs) {
-  w.tag(kTagFaults);
-  w.pod_span(fs.nat_.data(), fs.nat_.size());
-  w.pod_span(fs.retry_round_.data(), fs.retry_round_.size());
-  w.pod_span(fs.retry_count_.data(), fs.retry_count_.size());
-  w.pod_span(fs.announce_seq_.data(), fs.announce_seq_.size());
-  w.u64(fs.failed_announces_);
-  w.u64(fs.announce_retries_);
-  w.u64(fs.connect_failures_);
-  w.u64(fs.nat_rejections_);
-  w.u64(fs.lost_lanes_);
-}
-
-void read_faults(Reader& r, FaultState& fs, std::size_t rows) {
-  r.expect_tag(kTagFaults, "faults");
-  fs.nat_ = r.pod_vec<std::uint8_t>(rows, "nat flag");
-  fs.retry_round_ = r.pod_vec<std::uint32_t>(rows, "retry round");
-  fs.retry_count_ = r.pod_vec<std::uint32_t>(rows, "retry count");
-  fs.announce_seq_ = r.pod_vec<std::uint32_t>(rows, "announce sequence");
-  if (fs.nat_.size() != rows || fs.retry_round_.size() != rows ||
-      fs.retry_count_.size() != rows || fs.announce_seq_.size() != rows) {
-    throw SnapshotError("snapshot: fault-state array size mismatch");
-  }
-  for (const std::uint8_t flag : fs.nat_) {
-    if (flag > 1) throw SnapshotError("snapshot: invalid NAT flag");
-  }
-  fs.failed_announces_ = r.u64();
-  fs.announce_retries_ = r.u64();
-  fs.connect_failures_ = r.u64();
-  fs.nat_rejections_ = r.u64();
-  fs.lost_lanes_ = r.u64();
+/// A config's simulation-semantic bytes: its snapshot field list with
+/// `threads` (wall clock only) pinned, so equal bytes mean every other
+/// field matches bitwise.
+std::string semantic_bytes(SwarmConfig c) {
+  c.threads = 0;
+  std::string out;
+  Writer w(out);
+  w.io(c);
+  return out;
 }
 
 std::vector<std::uint32_t> to_u32(const std::vector<std::size_t>& v, const char* what) {
@@ -358,11 +210,140 @@ std::vector<std::uint32_t> to_u32(const std::vector<std::size_t>& v, const char*
   return out;
 }
 
-std::vector<std::size_t> to_size(const std::vector<std::uint32_t>& v) {
-  return {v.begin(), v.end()};
-}
-
 }  // namespace
+
+/// Members that travel in a transformed form: save_impl() derives these
+/// from the swarm; resume_impl() validates them after the checksum and
+/// rebuilds the members from them.
+struct Swarm::Wire {
+  graph::Rng::State rng;                    // rng_, the caller's generator
+  std::uint64_t id_space = 0;               // table_
+  std::vector<core::PeerId> live_ids;       // table_, row order
+  std::vector<std::uint32_t> row_gens;      // table_
+  std::uint64_t pool = 0;                   // edge-slot pool capacity
+  std::vector<std::uint32_t> mirror;        // mirror_, narrowed to u32
+  std::vector<std::uint32_t> free_slots;    // free_slots_, narrowed to u32
+  std::vector<core::PeerId> retired_order;  // inverse of retired_ix_
+  std::vector<std::uint32_t> avail;         // picker_ availability cross-check
+};
+
+template <class Ar, class Self>
+void Swarm::fields(Ar& ar, Self& s, Wire& x) {
+  constexpr bool kLoad = Ar::kLoading;
+  ar.header(kSnapshotMagic, "snapshot");
+
+  ar.section(kTagConfig, "config");
+  ar.io(s.config_);
+  if constexpr (kLoad) {
+    check_config(s.config_);  // before anything is sized from it
+    s.picker_ = PiecePicker(s.config_.num_pieces);
+    s.reserved_scratch_ = Bitfield(s.config_.num_pieces);
+  }
+  const std::size_t num_pieces = s.config_.num_pieces;
+
+  ar.section(kTagRng, "rng");
+  ar.io(s.choke_key_);
+  ar.io(x.rng);
+
+  ar.section(kTagTable, "table");
+  ar.io(x.id_space);
+  ar.span(x.live_ids);
+  ar.span(x.row_gens);
+  const std::size_t rows = x.live_ids.size();
+
+  ar.section(kTagCounters, "counters");
+  ar.io(s.round_);
+  ar.io(s.leechers_);
+  ar.io(s.arrivals_);
+  ar.io(s.departures_);
+  ar.io(s.retired_completed_);
+
+  // Edge-slot pool. now_in_/now_out_ are deliberately absent:
+  // fold_rates() zeroes them at every round boundary, the only place
+  // save() may be called.
+  ar.section(kTagSlots, "slots");
+  ar.io(x.pool);
+  ar.span(s.edge_peer_);
+  ar.span(x.mirror);
+  ar.span(s.slot_gen_);
+  ar.span(x.free_slots);
+  ar.span(s.rate_in_);
+  ar.span(s.rate_out_);
+  ar.span(s.inflight_);
+  ar.span(s.mutual_rounds_);
+
+  // Per-row hot state, in the row order of the live ids above, so
+  // resume rebuilds the exact iteration order every RNG draw depends on.
+  ar.section(kTagPeers, "peers");
+  std::uint64_t row_count = rows;
+  ar.io(row_count);
+  if constexpr (kLoad) {
+    if (row_count != rows) throw SnapshotError("snapshot: per-row state size mismatch");
+    s.stats_.resize(rows);
+    s.have_.reserve(rows);
+    s.chokers_.reserve(rows);
+    s.unchoked_.resize(rows);
+    s.nbr_.resize(rows);
+    s.nslot_.resize(rows);
+    s.partial_.resize(rows);
+  }
+  for (auto& stats : s.stats_) ar.io(stats);
+  // Bitfields: bare words, their count implied by num_pieces.
+  for (std::size_t r = 0; r < rows; ++r) {
+    if constexpr (kLoad) {
+      std::vector<std::uint64_t> words((num_pieces + 63) / 64);
+      ar.raw(words);
+      s.have_.push_back(Bitfield::from_words(num_pieces, std::move(words)));
+    } else {
+      ar.raw(s.have_[r].words());
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    TftChoker::State choker;
+    if constexpr (!kLoad) choker = s.chokers_[r].state();
+    ar.io(choker);
+    if constexpr (kLoad) {
+      if (choker.optimistic_rounds == 0) throw SnapshotError("snapshot: zero optimistic rounds");
+      s.chokers_.push_back(TftChoker::from_state(choker));
+    }
+  }
+  for (auto& targets : s.unchoked_) ar.span(targets);
+  // Adjacency: sorted neighbor ids, then the parallel slots as bare
+  // u32s (a pool past 4G directed slots is rejected, not truncated).
+  for (std::size_t r = 0; r < rows; ++r) {
+    ar.span(s.nbr_[r]);
+    if constexpr (kLoad) {
+      std::vector<std::uint32_t> slots(s.nbr_[r].size());
+      ar.raw(slots);
+      s.nslot_[r] = {slots.begin(), slots.end()};
+    } else {
+      ar.raw(to_u32(s.nslot_[r], "adjacency slot"));
+    }
+  }
+  for (auto& partial : s.partial_) ar.seq(partial);
+
+  // Retired records, retirement order; retired_ix_ travels as its
+  // inverse (one id per record), so the snapshot pays 4 bytes per
+  // *departure*, not per id-ever.
+  ar.section(kTagRetired, "retired");
+  ar.span(x.retired_order);
+  if constexpr (kLoad) s.retired_stats_.resize(x.retired_order.size());
+  for (auto& stats : s.retired_stats_) ar.io(stats);
+  ar.seq(s.retired_mutual_);
+
+  // Piece-availability cross-check, one logical write per piece.
+  ar.section(kTagAvail, "availability");
+  std::uint64_t pieces = num_pieces;
+  ar.io(pieces);
+  if constexpr (kLoad) {
+    if (pieces != num_pieces) throw SnapshotError("snapshot: availability size mismatch");
+    x.avail.resize(num_pieces);
+  }
+  for (auto& avail : x.avail) ar.io(avail);
+
+  ar.section(kTagFaults, "faults");
+  ar.io(s.faults_);
+}
 
 void Swarm::save(std::ostream& out) const {
   Writer w(out);
@@ -398,107 +379,25 @@ std::size_t Swarm::snapshot_byte_bound() const {
 }
 
 void Swarm::save_impl(Writer& w) const {
-  w.u64(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
-
-  write_config(w, config_);
-
-  w.tag(kTagRng);
-  w.u64(choke_key_);
-  const graph::Rng::State rng_state = rng_.state();
-  for (const std::uint64_t word : rng_state.s) w.u64(word);
-  w.f64(rng_state.cached_normal);
-  w.u8(rng_state.has_cached_normal ? 1 : 0);
-
-  w.tag(kTagTable);
-  w.u64(table_.id_space());
-  const auto live = table_.ids();
-  w.pod_span(live.data(), live.size());
-  const auto gens = table_.row_generations();
-  w.pod_span(gens.data(), gens.size());
-
-  w.tag(kTagCounters);
-  w.u64(round_);
-  w.u64(leechers_);
-  w.u64(arrivals_);
-  w.u64(departures_);
-  w.u64(retired_completed_);
-
-  // Edge-slot pool. mirror_/free_slots_ (size_t in memory) travel as
-  // u32 — a pool past 4G directed slots is beyond any simulated scale
-  // and is rejected rather than truncated. now_in_/now_out_ are
-  // deliberately absent: fold_rates() zeroes them at every round
-  // boundary, the only place save() may be called.
-  w.tag(kTagSlots);
-  w.u64(edge_peer_.size());
-  w.pod_span(edge_peer_.data(), edge_peer_.size());
-  const auto mirror32 = to_u32(mirror_, "mirror slot");
-  w.pod_span(mirror32.data(), mirror32.size());
-  w.pod_span(slot_gen_.data(), slot_gen_.size());
-  const auto free32 = to_u32(free_slots_, "free-list slot");
-  w.pod_span(free32.data(), free32.size());
-  w.pod_span(rate_in_.data(), rate_in_.size());
-  w.pod_span(rate_out_.data(), rate_out_.size());
-  w.pod_span(inflight_.data(), inflight_.size());
-  w.pod_span(mutual_rounds_.data(), mutual_rounds_.size());
-
-  // Per-row hot state, row order. Every row-indexed container is
-  // written in the same order the table serialized its rows, so resume
-  // rebuilds the exact iteration order every RNG draw depends on.
-  w.tag(kTagPeers);
-  const std::size_t rows = table_.size();
-  w.u64(rows);
-  for (std::size_t r = 0; r < rows; ++r) write_stats(w, stats_[r]);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto words = have_[r].words();
-    w.bytes(words.data(), words.size() * sizeof(std::uint64_t));
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    const TftChoker::State cs = chokers_[r].state();
-    w.u64(cs.tft_slots);
-    w.u64(cs.optimistic_rounds);
-    w.u64(cs.rounds_since_rotation);
-    w.u32(cs.optimistic);
-  }
-  for (std::size_t r = 0; r < rows; ++r) w.pod_span(unchoked_[r].data(), unchoked_[r].size());
-  for (std::size_t r = 0; r < rows; ++r) {
-    w.pod_span(nbr_[r].data(), nbr_[r].size());
-    const auto slots32 = to_u32(nslot_[r], "adjacency slot");
-    w.bytes(slots32.data(), slots32.size() * sizeof(std::uint32_t));
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    w.u64(partial_[r].size());
-    for (const auto& [piece, kb] : partial_[r]) {
-      w.u32(piece);
-      w.f64(kb);
+  Wire x;
+  x.rng = rng_.state();
+  x.id_space = table_.id_space();
+  x.live_ids = {table_.ids().begin(), table_.ids().end()};
+  x.row_gens = {table_.row_generations().begin(), table_.row_generations().end()};
+  x.pool = edge_peer_.size();
+  x.mirror = to_u32(mirror_, "mirror slot");
+  x.free_slots = to_u32(free_slots_, "free-list slot");
+  x.retired_order.assign(retired_stats_.size(), core::kNoPeer);
+  for (std::size_t id = 0; id < retired_ix_.size(); ++id) {
+    if (retired_ix_[id] != kNoRetired) {
+      x.retired_order[retired_ix_[id]] = static_cast<core::PeerId>(id);
     }
   }
-
-  // Retired records, retirement order. The id->index map is stored as
-  // its inverse (one id per record), so the snapshot pays 4 bytes per
-  // *departure*, not per id-ever.
-  w.tag(kTagRetired);
-  std::vector<core::PeerId> retired_order(retired_stats_.size(), core::kNoPeer);
-  for (std::size_t id = 0; id < retired_ix_.size(); ++id) {
-    if (retired_ix_[id] != kNoRetired) retired_order[retired_ix_[id]] = static_cast<core::PeerId>(id);
+  x.avail.resize(config_.num_pieces);
+  for (PieceId piece = 0; piece < config_.num_pieces; ++piece) {
+    x.avail[piece] = picker_.availability(piece);
   }
-  w.pod_span(retired_order.data(), retired_order.size());
-  for (const PeerStats& s : retired_stats_) write_stats(w, s);
-  w.u64(retired_mutual_.size());
-  for (const auto& [key, mutual] : retired_mutual_) {
-    w.u64(key);
-    w.u32(mutual);
-  }
-
-  // Piece-availability cross-check: derived state (the sum of live
-  // bitfields), serialized anyway so the loader can prove the
-  // recomputation matches — a stronger-than-checksum consistency gate.
-  w.tag(kTagAvail);
-  w.u64(config_.num_pieces);
-  for (PieceId piece = 0; piece < config_.num_pieces; ++piece) w.u32(picker_.availability(piece));
-
-  write_faults(w, faults_);
-
+  fields(w, *this, x);
   w.finish();
 }
 
@@ -511,48 +410,32 @@ Swarm Swarm::resume(std::istream& in, graph::Rng& rng, const SwarmConfig& config
 Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* override_config) {
   try {
     Reader r(in);
-    if (r.u64() != kSnapshotMagic) throw SnapshotError("snapshot: bad magic");
-    const std::uint32_t version = r.u32();
-    if (version != kSnapshotVersion) {
-      throw SnapshotError("snapshot: unsupported version " + std::to_string(version) +
-                          " (this build reads version " + std::to_string(kSnapshotVersion) + ")");
-    }
+    Swarm s(ResumeTag{}, rng);
+    Wire x;
+    fields(r, s, x);
+    r.verify_checksum();
 
-    SwarmConfig cfg = read_config(r);
-    if (cfg.num_peers < 2 || cfg.num_pieces == 0 || cfg.piece_kb <= 0.0 ||
-        cfg.num_pieces > kMaxPieces || cfg.num_peers + cfg.seeds > kMaxPeersEver) {
-      throw SnapshotError("snapshot: invalid config");
-    }
+    // --- everything read and checksummed; validate and wire up -------
+
+    // The config-override contract: every simulation-semantic field
+    // must match the checkpointed config bitwise; only `threads` (which
+    // cannot change results, just wall clock) may differ.
     if (override_config != nullptr) {
-      check_config_override(cfg, *override_config);
-      cfg.threads = override_config->threads;
+      if (semantic_bytes(s.config_) != semantic_bytes(*override_config)) {
+        throw SnapshotError(
+            "snapshot: config override differs from the checkpointed config "
+            "in a simulation-semantic field (only `threads` may change)");
+      }
+      s.config_.threads = override_config->threads;
     }
+    const SwarmConfig& cfg = s.config_;
 
-    Swarm s(ResumeTag{}, cfg, rng);
-
-    r.expect_tag(kTagRng, "rng");
-    s.choke_key_ = r.u64();
-    graph::Rng::State rng_state;
-    for (std::uint64_t& word : rng_state.s) word = r.u64();
-    rng_state.cached_normal = r.f64();
-    rng_state.has_cached_normal = r.u8() != 0;
-
-    r.expect_tag(kTagTable, "table");
-    const auto id_space = static_cast<std::size_t>(r.u64());
-    if (id_space > kMaxPeersEver) throw SnapshotError("snapshot: implausible id space");
+    if (x.id_space > kMaxPeersEver) throw SnapshotError("snapshot: implausible id space");
+    const auto id_space = static_cast<std::size_t>(x.id_space);
+    const std::size_t rows = x.live_ids.size();
     if (id_space < cfg.num_peers + cfg.seeds) {
       throw SnapshotError("snapshot: id space smaller than the initial population");
     }
-    auto live_ids = r.pod_vec<core::PeerId>(id_space, "live id");
-    auto row_gens = r.pod_vec<std::uint32_t>(id_space, "row generation");
-    const std::size_t rows = live_ids.size();
-
-    r.expect_tag(kTagCounters, "counters");
-    s.round_ = static_cast<std::size_t>(r.u64());
-    s.leechers_ = static_cast<std::size_t>(r.u64());
-    s.arrivals_ = static_cast<std::size_t>(r.u64());
-    s.departures_ = static_cast<std::size_t>(r.u64());
-    s.retired_completed_ = static_cast<std::size_t>(r.u64());
     if (s.arrivals_ != id_space - (cfg.num_peers + cfg.seeds)) {
       throw SnapshotError("snapshot: arrival counter inconsistent with id space");
     }
@@ -563,133 +446,48 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       throw SnapshotError("snapshot: departure counter inconsistent with live count");
     }
 
-    r.expect_tag(kTagSlots, "slots");
-    const auto pool = static_cast<std::size_t>(r.u64());
-    if (pool > kMaxSlots) throw SnapshotError("snapshot: implausible slot-pool size");
-    s.edge_peer_ = r.pod_vec<core::PeerId>(pool, "edge slot");
-    auto mirror32 = r.pod_vec<std::uint32_t>(pool, "mirror slot");
-    s.slot_gen_ = r.pod_vec<std::uint32_t>(pool, "slot generation");
-    auto free32 = r.pod_vec<std::uint32_t>(pool, "free slot");
-    s.rate_in_ = r.pod_vec<double>(pool, "rate-in");
-    s.rate_out_ = r.pod_vec<double>(pool, "rate-out");
-    s.inflight_ = r.pod_vec<PieceId>(pool, "in-flight piece");
-    s.mutual_rounds_ = r.pod_vec<std::uint32_t>(pool, "mutual rounds");
     // Size checks before the zero-filled allocations below: every
-    // array length here is stream-backed (pod_vec only grows by bytes
-    // actually delivered), so a lying `pool` scalar must die *before*
-    // it can size a multi-GB assign.
-    if (s.edge_peer_.size() != pool || mirror32.size() != pool || s.slot_gen_.size() != pool ||
+    // array length is stream-backed, so a lying `pool` scalar must die
+    // *before* it can size a multi-GB assign.
+    if (x.pool > kMaxSlots) throw SnapshotError("snapshot: implausible slot-pool size");
+    const auto pool = static_cast<std::size_t>(x.pool);
+    if (s.edge_peer_.size() != pool || x.mirror.size() != pool || s.slot_gen_.size() != pool ||
         s.rate_in_.size() != pool || s.rate_out_.size() != pool || s.inflight_.size() != pool ||
         s.mutual_rounds_.size() != pool) {
       throw SnapshotError("snapshot: slot-pool array size mismatch");
     }
-    s.mirror_ = to_size(mirror32);
-    s.free_slots_ = to_size(free32);
+    s.mirror_ = {x.mirror.begin(), x.mirror.end()};
+    s.free_slots_ = {x.free_slots.begin(), x.free_slots.end()};
     s.now_in_.assign(pool, 0.0);
     s.now_out_.assign(pool, 0.0);
 
-    r.expect_tag(kTagPeers, "peers");
-    if (static_cast<std::size_t>(r.u64()) != rows) {
-      throw SnapshotError("snapshot: per-row state size mismatch");
+    const FaultState& fs = s.faults_;
+    if (fs.nat_.size() != rows || fs.retry_round_.size() != rows ||
+        fs.retry_count_.size() != rows || fs.announce_seq_.size() != rows) {
+      throw SnapshotError("snapshot: fault-state array size mismatch");
     }
-    s.stats_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) s.stats_.push_back(read_stats(r));
-    const std::size_t words_per_peer = (cfg.num_pieces + 63) / 64;
-    s.have_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      std::vector<std::uint64_t> words(words_per_peer);
-      r.bytes(words.data(), words.size() * sizeof(std::uint64_t));
-      s.have_.push_back(Bitfield::from_words(cfg.num_pieces, std::move(words)));
-    }
-    s.chokers_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      TftChoker::State cs;
-      cs.tft_slots = static_cast<std::size_t>(r.u64());
-      cs.optimistic_rounds = static_cast<std::size_t>(r.u64());
-      cs.rounds_since_rotation = static_cast<std::size_t>(r.u64());
-      cs.optimistic = r.u32();
-      if (cs.optimistic_rounds == 0) throw SnapshotError("snapshot: zero optimistic rounds");
-      s.chokers_.push_back(TftChoker::from_state(cs));
-    }
-    s.unchoked_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      s.unchoked_.push_back(r.pod_vec<core::PeerId>(id_space, "unchoke target"));
-    }
-    s.nbr_.reserve(rows);
-    s.nslot_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      auto nbrs = r.pod_vec<core::PeerId>(rows, "neighbor");
-      std::vector<std::uint32_t> slots32(nbrs.size());
-      r.bytes(slots32.data(), slots32.size() * sizeof(std::uint32_t));
-      s.nbr_.push_back(std::move(nbrs));
-      s.nslot_.push_back(to_size(slots32));
-    }
-    s.partial_.reserve(rows);
-    for (std::size_t row = 0; row < rows; ++row) {
-      const auto count = static_cast<std::size_t>(r.u64());
-      if (count > cfg.num_pieces) throw SnapshotError("snapshot: implausible partial count");
-      std::vector<std::pair<PieceId, double>> partial;
-      partial.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const PieceId piece = r.u32();
-        const double kb = r.f64();
-        partial.emplace_back(piece, kb);
-      }
-      s.partial_.push_back(std::move(partial));
+    for (const std::uint8_t flag : fs.nat_) {
+      if (flag > 1) throw SnapshotError("snapshot: invalid NAT flag");
     }
 
-    r.expect_tag(kTagRetired, "retired");
-    auto retired_order = r.pod_vec<core::PeerId>(id_space, "retired id");
-    std::vector<PeerStats> retired_stats;
-    retired_stats.reserve(retired_order.size());
-    for (std::size_t i = 0; i < retired_order.size(); ++i) retired_stats.push_back(read_stats(r));
-    const auto retired_mutual_count = static_cast<std::size_t>(r.u64());
-    if (retired_mutual_count > kMaxSlots) {
-      throw SnapshotError("snapshot: implausible retired-pair count");
-    }
-    s.retired_mutual_.reserve(retired_mutual_count);
-    for (std::size_t i = 0; i < retired_mutual_count; ++i) {
-      const std::uint64_t key = r.u64();
-      const std::uint32_t mutual = r.u32();
-      s.retired_mutual_.emplace_back(key, mutual);
-    }
-
-    r.expect_tag(kTagAvail, "availability");
-    if (static_cast<std::size_t>(r.u64()) != cfg.num_pieces) {
-      throw SnapshotError("snapshot: availability size mismatch");
-    }
-    std::vector<std::uint32_t> stored_avail(cfg.num_pieces);
-    // Read per-u32 to mirror save()'s per-piece logical writes — the
-    // checksum folds once per logical call, so the partitions must
-    // match exactly.
-    for (std::uint32_t& avail : stored_avail) avail = r.u32();
-
-    read_faults(r, s.faults_, rows);
-
-    r.verify_checksum();
-
-    // --- everything read and checksummed; validate and wire up -------
-
-    s.table_ = PeerTable::restore(std::move(live_ids), std::move(row_gens), id_space);
+    s.table_ = PeerTable::restore(std::move(x.live_ids), std::move(x.row_gens), id_space);
 
     if (cfg.retain_departed) {
-      if (retired_order.size() != s.departures_) {
+      if (x.retired_order.size() != s.departures_) {
         throw SnapshotError("snapshot: retired archive inconsistent with departures");
       }
-      if (!retired_order.empty()) s.retired_ix_.assign(id_space, kNoRetired);
-      for (std::size_t i = 0; i < retired_order.size(); ++i) {
-        const core::PeerId id = retired_order[i];
+      if (!x.retired_order.empty()) s.retired_ix_.assign(id_space, kNoRetired);
+      for (std::size_t i = 0; i < x.retired_order.size(); ++i) {
+        const core::PeerId id = x.retired_order[i];
         if (id >= id_space || s.table_.contains(id)) {
           throw SnapshotError("snapshot: retired id is live or out of range");
         }
         if (s.retired_ix_[id] != kNoRetired) throw SnapshotError("snapshot: duplicate retired id");
         s.retired_ix_[id] = static_cast<std::uint32_t>(i);
       }
-      s.retired_stats_ = std::move(retired_stats);
-    } else if (!retired_order.empty() || !s.retired_mutual_.empty()) {
+    } else if (!x.retired_order.empty() || !s.retired_mutual_.empty()) {
       throw SnapshotError("snapshot: retired records present with retain_departed off");
     }
-
     // Slot pool: free list sane, then adjacency rows sorted, live, and
     // mutually consistent with the pool (slot -> neighbor id, mirror
     // round-trips). After these checks no stale index can survive into
@@ -739,6 +537,9 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       }
     }
     for (std::size_t row = 0; row < rows; ++row) {
+      if (s.partial_[row].size() > cfg.num_pieces) {
+        throw SnapshotError("snapshot: implausible partial count");
+      }
       if (s.stats_[row].pieces != s.have_[row].count()) {
         throw SnapshotError("snapshot: piece counter disagrees with bitfield");
       }
@@ -763,14 +564,14 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     // stored words match — the derived-state consistency gate.
     for (std::size_t row = 0; row < rows; ++row) s.picker_.add_bitfield(s.have_[row]);
     for (PieceId piece = 0; piece < cfg.num_pieces; ++piece) {
-      if (s.picker_.availability(piece) != stored_avail[piece]) {
+      if (s.picker_.availability(piece) != x.avail[piece]) {
         throw SnapshotError("snapshot: availability disagrees with live bitfields");
       }
     }
 
     // Derived caches: ranks rebuild deterministically (no RNG), the
     // structural generator resumes the checkpointed sequence.
-    rng.restore(rng_state);
+    rng.restore(x.rng);
     s.refresh_ranks_force();
     return s;
   } catch (const SnapshotError&) {

@@ -13,24 +13,37 @@
 // are themselves serialized rather than re-derived.
 //
 // Format (version 2, little-endian, not endian-portable — the magic
-// word doubles as the byte-order probe):
+// word doubles as the byte-order probe): u64 magic, u32 version, then
+// tagged sections in fixed order, closed by a 64-bit running checksum
+// of every byte written. Each section is written once, as a field list
+// — `template <class Ar, class Self> static void fields(Ar&, Self&)`,
+// naming every serialized field in stream order — that Writer runs on
+// save and Reader on load:
 //
-//   u64 magic, u32 version, then tagged sections in fixed order —
-//   config (incl. the fault-injection spec), RNG (choke key +
-//   structural generator), peer table (live ids in row order,
-//   generation stamps, id space), run counters, edge-slot pool
-//   (neighbor/mirror/generation/free-list/rates/in-flight/mutual
-//   arrays), per-row peer state (stats, bitfields, choker state,
-//   unchoke sets, sorted adjacency + slots, partial pieces), retired
-//   records, a piece-availability cross-check, and the live fault
-//   state (NAT flags, retry deadlines/counts, announce sequence
-//   numbers, fault counters — a mid-outage save resumes with every
-//   backoff deadline intact) — closed by a 64-bit running checksum of
-//   every byte written.
+//   config     SwarmConfig::fields (FaultSpec::fields nested)
+//   rng        choke key + Rng::State::fields of the structural rng
+//   table      id space, live ids in row order, row generations
+//   counters   round, leecher, arrival, departure, retired counters
+//   slots      the edge-slot pool arrays
+//   peers      per row: PeerStats::fields, bitfield words,
+//              TftChoker::State::fields, unchoke set, sorted adjacency
+//              + slots, partial pieces
+//   retired    retirement-order ids, their PeerStats, mutual pairs
+//   avail      per-piece availability cross-check
+//   faults     FaultState::fields (a mid-outage save resumes with
+//              every backoff deadline intact)
+//
+// Swarm::fields (snapshot.cpp) strings the sections together. Members
+// stored transformed (peer table, u32-narrowed slot indices, the
+// retired-order inverse map, the availability cross-check) travel as
+// Swarm::Wire: save() derives it, resume() validates it after the
+// checksum and rebuilds the members. SwarmConfig::fields also drives
+// resume()'s config-override check.
 //
 // Loading rejects bad magic, unknown versions, truncation, checksum
-// mismatches and any structurally inconsistent state (every index is
-// bounds-checked before the swarm is wired together), throwing
+// mismatches, a config the Swarm constructor would reject and any
+// structurally inconsistent state (every index is bounds-checked
+// before the swarm is wired together), throwing
 // SnapshotError with a message naming the failure; a corrupt snapshot
 // can never produce a swarm with broken invariants, let alone UB.
 // Deliberately *not* serialized: phase-profile wall clocks, per-worker
@@ -39,10 +52,11 @@
 // back into simulation state. See README "Snapshot format and resume
 // contract".
 //
-// ChurnDriver state (lifetime deadlines + capacity-pool cursor) rides
-// in a companion section via save_churn_driver()/restore_churn_driver()
-// — the driver's spec/config/pool are construction inputs the resuming
-// caller supplies, the snapshot carries only the mutable remainder.
+// ChurnDriver state (ChurnDriver::fields: lifetime deadlines +
+// capacity-pool cursor) rides in a companion section via
+// save_churn_driver()/restore_churn_driver() — the driver's
+// spec/config/pool are construction inputs the resuming caller
+// supplies, the snapshot carries only the mutable remainder.
 //
 // fork_snapshot() opens warm-started what-if sweeps: resume one
 // equilibrated snapshot into N independent (rng, swarm) pairs and
@@ -61,6 +75,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -131,21 +146,89 @@ inline std::uint64_t fold_bytes(std::uint64_t hash, const void* data, std::size_
   return hash;
 }
 
-/// Checksummed little-endian binary writer. Small writes coalesce into
-/// an internal buffer (one ostream call per ~64 KB, not per field);
-/// the string-sink constructor appends straight to the string instead,
-/// skipping the ostream machinery entirely (it costs more than the
-/// serialization itself at 10^5 peers). The running 64-bit hash folds
-/// every *logical* write, so buffering never changes the checksum.
+template <class T>
+inline constexpr bool kIsPair = false;
+template <class A, class B>
+inline constexpr bool kIsPair<std::pair<A, B>> = true;
+
+/// A struct that lists its own snapshot fields.
+template <class T, class Ar>
+concept HasFields = requires(Ar& ar, T& v) { std::remove_const_t<T>::fields(ar, v); };
+
+/// Checksummed little-endian binary writer — the save side of the
+/// archive surface the field lists are written against (Reader is the
+/// load side, with the same calls):
+///
+///   header(magic, name)  magic word + kSnapshotVersion
+///   section(tag, name)   u32 section tag
+///   io(field)            one scalar, a pair as its two halves, or a
+///                        struct through its static fields() list
+///   span(vec)            u64 count + the elements' bytes, one write
+///   seq(vec)             u64 count + io() per element
+///   raw(vec)             the elements' bytes, length implied by
+///                        earlier fields (the reader pre-sizes `vec`)
+///
+/// A field list is `template <class Ar, class Self> static void
+/// fields(Ar&, Self&)`; Self is const on save. `Ar::kLoading` selects
+/// the per-side code of members stored in a transformed form.
+///
+/// Small writes coalesce into an internal buffer (one ostream call per
+/// ~64 KB, not per field); the string-sink constructor appends straight
+/// to the string instead, skipping the ostream machinery entirely (it
+/// costs more than the serialization itself at 10^5 peers). The running
+/// 64-bit hash folds every *logical* write — one fold per call above,
+/// per element for seq() — so buffering never changes the checksum.
 /// finish() appends the checksum.
 class Writer {
  public:
+  static constexpr bool kLoading = false;
+
   explicit Writer(std::ostream& out);
   explicit Writer(std::string& sink);
   ~Writer();
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
+  void header(std::uint64_t magic, const char* /*name*/) {
+    io(magic);
+    io(kSnapshotVersion);
+  }
+  void section(std::uint32_t tag, const char* /*name*/) { io(tag); }
+
+  template <class T>
+  void io(const T& v) {
+    if constexpr (HasFields<const T, Writer>) {
+      T::fields(*this, v);
+    } else if constexpr (kIsPair<T>) {
+      io(v.first);
+      io(v.second);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      const std::uint8_t b = v ? 1 : 0;
+      bytes(&b, 1);
+    } else {
+      static_assert(std::is_arithmetic_v<T>, "no wire encoding for this field type");
+      bytes(&v, sizeof v);  // in-memory width: size_t travels as u64 (LP64)
+    }
+  }
+  template <class C>
+  void span(const C& c) {
+    io(static_cast<std::uint64_t>(std::size(c)));
+    raw(c);
+  }
+  template <class C>
+  void seq(const C& c) {
+    io(static_cast<std::uint64_t>(std::size(c)));
+    for (const auto& e : c) io(e);
+  }
+  template <class C>
+  void raw(const C& c) {
+    bytes(std::data(c), std::size(c) * sizeof(*std::data(c)));
+  }
+
+  /// Writes the checksum footer and flushes. Must be the last call.
+  void finish();
+
+ private:
   void bytes(const void* data, std::size_t n) {
     if (n == 0) return;
     hash_ = fold_bytes(hash_, data, n);
@@ -155,27 +238,6 @@ class Writer {
     }
     write_stream(data, n);
   }
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-  void u32(std::uint32_t v) { bytes(&v, 4); }
-  void u64(std::uint64_t v) { bytes(&v, 8); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    u64(bits);
-  }
-  void tag(std::uint32_t t) { u32(t); }
-
-  /// Length-prefixed contiguous POD span (no internal padding!).
-  template <typename T>
-  void pod_span(const T* data, std::size_t n) {
-    u64(n);
-    bytes(data, n * sizeof(T));
-  }
-
-  /// Writes the checksum footer and flushes. Must be the last call.
-  void finish();
-
- private:
   /// ostream mode: coalesces into buf_, one ostream call per ~64 KB.
   void write_stream(const void* data, std::size_t n);
   void flush();
@@ -187,86 +249,96 @@ class Writer {
   bool finished_ = false;
 };
 
-/// Checksummed reader, mirror of Writer: every read throws
-/// SnapshotError("...truncated") on a short stream, and
+/// Checksummed reader, the load side of Writer's surface: every read
+/// throws SnapshotError("...truncated") on a short stream, and
 /// verify_checksum() compares the running hash with the stored footer.
 /// On seekable streams, small reads are served from a ~64 KB
 /// read-ahead buffer (one istream call per refill, not per field —
 /// per-call overhead would otherwise dominate a 10^5-peer load);
 /// verify_checksum() seeks the stream back over any unconsumed
 /// read-ahead so a companion section can follow on the same stream.
+///
+/// A corrupt length prefix cannot force a giant allocation: on a
+/// seekable stream it is checked against the bytes actually remaining
+/// before anything is sized; on a non-seekable stream buffers grow in
+/// bounded chunks and a lying prefix dies on the first short read.
 class Reader {
  public:
+  static constexpr bool kLoading = true;
+
   explicit Reader(std::istream& in);
 
-  void bytes(void* data, std::size_t n) {
-    raw_read(data, n);
-    fold(data, n);
-  }
-  std::uint8_t u8() {
-    std::uint8_t v;
-    bytes(&v, 1);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-  void expect_tag(std::uint32_t t, const char* section);
+  /// Throws "<name>: bad magic" / "<name>: unsupported version".
+  void header(std::uint64_t magic, const char* name);
+  /// Throws "snapshot: missing section tag '<name>'".
+  void section(std::uint32_t tag, const char* name);
 
-  /// Length-prefixed POD vector. A corrupt length field cannot force a
-  /// giant allocation: on a seekable stream the prefix is checked
-  /// against the bytes actually remaining before anything is sized (so
-  /// the result is allocated exactly once, with zero capacity slack);
-  /// on a non-seekable stream the buffer grows in ~1 MB chunks and a
-  /// lying prefix dies on the first short read. Either way the
-  /// checksum folds once over the assembled buffer, matching the
-  /// writer's single pod_span() fold exactly.
-  template <typename T>
-  std::vector<T> pod_vec(std::size_t max_elems, const char* what) {
-    const std::uint64_t n64 = u64();
-    if (n64 > max_elems) {
-      throw SnapshotError(std::string("snapshot: implausible ") + what + " count");
+  template <class T>
+  void io(T& v) {
+    if constexpr (HasFields<T, Reader>) {
+      T::fields(*this, v);
+    } else if constexpr (kIsPair<T>) {
+      io(v.first);
+      io(v.second);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t b = 0;
+      bytes(&b, 1);
+      v = b != 0;
+    } else {
+      static_assert(std::is_arithmetic_v<T>, "no wire encoding for this field type");
+      bytes(&v, sizeof v);
     }
-    const auto n = static_cast<std::size_t>(n64);
+  }
+  /// Allocates the result exactly once on a seekable stream (zero
+  /// capacity slack); folds once over the assembled buffer, matching
+  /// the writer's single write.
+  template <class T>
+  void span(std::vector<T>& v) {
+    const std::uint64_t n = count();
     std::vector<T> out;
     if (remaining_known_) {
-      if (n64 * sizeof(T) > remaining_) {
-        throw SnapshotError("snapshot: truncated stream");
-      }
-      out.resize(n);
-      raw_read(out.data(), n * sizeof(T));
+      if (n > remaining_ / sizeof(T)) throw SnapshotError("snapshot: truncated stream");
+      out.resize(static_cast<std::size_t>(n));
+      raw_read(out.data(), out.size() * sizeof(T));
     } else {
       const std::size_t chunk = std::max<std::size_t>(1, (std::size_t{1} << 20) / sizeof(T));
-      out.reserve(std::min(n, chunk));
       while (out.size() < n) {
-        const std::size_t take = std::min(chunk, n - out.size());
         const std::size_t have = out.size();
-        out.resize(have + take);
-        raw_read(out.data() + have, take * sizeof(T));
+        out.resize(have + static_cast<std::size_t>(std::min<std::uint64_t>(chunk, n - have)));
+        raw_read(out.data() + have, (out.size() - have) * sizeof(T));
       }
       out.shrink_to_fit();  // loaded state should carry no growth slack
     }
-    fold(out.data(), n * sizeof(T));
-    return out;
+    fold(out.data(), out.size() * sizeof(T));
+    v = std::move(out);
+  }
+  template <class T>
+  void seq(std::vector<T>& v) {
+    const std::uint64_t n = count();
+    // Every element occupies at least one byte of the stream.
+    if (remaining_known_ && n > remaining_) throw SnapshotError("snapshot: truncated stream");
+    v.clear();
+    v.reserve(static_cast<std::size_t>(remaining_known_ ? n : std::min<std::uint64_t>(n, 4096)));
+    for (std::uint64_t i = 0; i < n; ++i) io(v.emplace_back());
+  }
+  template <class T>
+  void raw(std::vector<T>& v) {
+    bytes(v.data(), v.size() * sizeof(T));
   }
 
   void verify_checksum();
 
  private:
-  /// Reads without folding (pod_vec folds the assembled buffer once);
+  void bytes(void* data, std::size_t n) {
+    raw_read(data, n);
+    fold(data, n);
+  }
+  std::uint64_t count() {
+    std::uint64_t n = 0;
+    io(n);
+    return n;
+  }
+  /// Reads without folding (span() folds the assembled buffer once);
   /// small reads come straight out of the read-ahead buffer.
   void raw_read(void* data, std::size_t n) {
     if (n == 0) return;
@@ -298,25 +370,18 @@ class Reader {
 
 }  // namespace snapshot_detail
 
-/// Serializes a ChurnDriver's mutable state (sorted lifetime
-/// deadlines + capacity-pool cursor) as a checksummed companion
-/// section, typically appended to the same stream right after
-/// Swarm::save(). The driver's spec/config/pool are construction
+/// Serializes a ChurnDriver's mutable state (ChurnDriver::fields:
+/// sorted lifetime deadlines + capacity-pool cursor) as a checksummed
+/// companion section, typically appended to the same stream right
+/// after Swarm::save(). The driver's spec/config/pool are construction
 /// inputs, not state — the resuming side must rebuild the driver with
 /// the same ones (and the same Rng the swarm resumes into) before
 /// calling restore_churn_driver().
 template <typename SwarmT>
 void save_churn_driver(std::ostream& out, const ChurnDriver<SwarmT>& driver) {
   snapshot_detail::Writer w(out);
-  w.u64(kChurnMagic);
-  w.u32(kSnapshotVersion);
-  const auto deadlines = driver.deadline_snapshot();
-  w.u64(deadlines.size());
-  for (const auto& [peer, deadline] : deadlines) {
-    w.u32(peer);
-    w.f64(deadline);
-  }
-  w.u64(driver.capacity_cursor());
+  w.header(kChurnMagic, "churn snapshot");
+  w.io(driver);
   w.finish();
   if (!out) throw SnapshotError("churn snapshot: stream write failed");
 }
@@ -324,30 +389,18 @@ void save_churn_driver(std::ostream& out, const ChurnDriver<SwarmT>& driver) {
 /// Restores state saved by save_churn_driver() into a freshly
 /// constructed driver. Throws SnapshotError on bad magic, version
 /// mismatch, truncation, unordered/duplicate deadline ids, or
-/// checksum failure.
+/// checksum failure; the driver is then partially restored and must
+/// be discarded.
 template <typename SwarmT>
 void restore_churn_driver(std::istream& in, ChurnDriver<SwarmT>& driver) {
   snapshot_detail::Reader r(in);
-  if (r.u64() != kChurnMagic) throw SnapshotError("churn snapshot: bad magic");
-  const std::uint32_t version = r.u32();
-  if (version != kSnapshotVersion) {
-    throw SnapshotError("churn snapshot: unsupported version " + std::to_string(version));
+  r.header(kChurnMagic, "churn snapshot");
+  try {
+    r.io(driver);
+  } catch (const std::invalid_argument& e) {
+    throw SnapshotError(std::string("churn snapshot: ") + e.what());
   }
-  const std::uint64_t n = r.u64();
-  if (n > (std::uint64_t{1} << 32)) throw SnapshotError("churn snapshot: implausible deadline count");
-  std::vector<std::pair<core::PeerId, double>> deadlines;
-  deadlines.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const core::PeerId peer = r.u32();
-    const double deadline = r.f64();
-    if (!deadlines.empty() && peer <= deadlines.back().first) {
-      throw SnapshotError("churn snapshot: deadline ids not strictly ascending");
-    }
-    deadlines.emplace_back(peer, deadline);
-  }
-  const std::uint64_t cursor = r.u64();
   r.verify_checksum();
-  driver.restore(deadlines, static_cast<std::size_t>(cursor));
 }
 
 /// One resumed run: owns the structural Rng (at a stable heap address

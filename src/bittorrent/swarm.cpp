@@ -29,6 +29,32 @@ double seconds_since(std::chrono::steady_clock::time_point start,
 }
 }  // namespace
 
+void validate(const SwarmConfig& config) {
+  if (config.num_peers < 2) throw std::invalid_argument("SwarmConfig: need at least 2 peers");
+  if (config.num_pieces == 0 || !(config.piece_kb > 0.0)) {
+    throw std::invalid_argument("SwarmConfig: pieces must be positive");
+  }
+  if (!(config.initial_completion >= 0.0 && config.initial_completion < 1.0)) {
+    throw std::invalid_argument("SwarmConfig: initial_completion in [0, 1)");
+  }
+  if (!config.tft_slots_per_peer.empty() &&
+      config.tft_slots_per_peer.size() != config.num_peers) {
+    throw std::invalid_argument("SwarmConfig: tft_slots_per_peer needs one entry per leecher");
+  }
+  const FaultSpec& f = config.faults;
+  for (const double p : {f.connect_failure_prob, f.nat_fraction, f.lane_loss_prob}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("SwarmConfig: fault probabilities must be in [0, 1]");
+    }
+  }
+  if (f.connect_attempts == 0) {
+    throw std::invalid_argument("SwarmConfig: faults.connect_attempts must be >= 1");
+  }
+  if (f.backoff_base == 0 || f.backoff_cap < f.backoff_base) {
+    throw std::invalid_argument("SwarmConfig: faults.backoff_cap >= backoff_base >= 1 required");
+  }
+}
+
 Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::Rng& rng)
     : config_(config),
       rng_(rng),
@@ -38,29 +64,7 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("Swarm: one upload capacity per leecher required");
   }
-  if (config.num_peers < 2) throw std::invalid_argument("Swarm: need at least 2 peers");
-  if (config.num_pieces == 0 || config.piece_kb <= 0.0) {
-    throw std::invalid_argument("Swarm: pieces must be positive");
-  }
-  if (config.initial_completion < 0.0 || config.initial_completion >= 1.0) {
-    throw std::invalid_argument("Swarm: initial_completion in [0, 1)");
-  }
-  if (!config.tft_slots_per_peer.empty() &&
-      config.tft_slots_per_peer.size() != config.num_peers) {
-    throw std::invalid_argument("Swarm: tft_slots_per_peer needs one entry per leecher");
-  }
-  const FaultSpec& fspec = config.faults;
-  if (fspec.connect_failure_prob < 0.0 || fspec.connect_failure_prob > 1.0 ||
-      fspec.nat_fraction < 0.0 || fspec.nat_fraction > 1.0 || fspec.lane_loss_prob < 0.0 ||
-      fspec.lane_loss_prob > 1.0) {
-    throw std::invalid_argument("Swarm: fault probabilities must be in [0, 1]");
-  }
-  if (fspec.connect_attempts == 0) {
-    throw std::invalid_argument("Swarm: faults.connect_attempts must be >= 1");
-  }
-  if (fspec.backoff_base == 0 || fspec.backoff_cap < fspec.backoff_base) {
-    throw std::invalid_argument("Swarm: faults.backoff_cap >= backoff_base >= 1 required");
-  }
+  validate(config);
   // The per-peer choke streams are keyed off one structural draw, made
   // before any other RNG use so both data planes derive the same key.
   choke_key_ = rng();
@@ -122,9 +126,9 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   // pre-existing connectivity, not fresh announce dials.
   for (std::size_t p = 0; p < total; ++p) {
     const bool nat =
-        fspec.nat_fraction > 0.0 &&
+        config.faults.nat_fraction > 0.0 &&
         graph::Rng::stream(choke_key_ ^ kFaultNatSalt, static_cast<core::PeerId>(p), 0)
-            .bernoulli(fspec.nat_fraction);
+            .bernoulli(config.faults.nat_fraction);
     faults_.add_peer(nat);
   }
 

@@ -175,7 +175,37 @@ struct SwarmConfig {
   /// counter-based streams, so faulted results stay bitwise invariant
   /// to `threads` (and TrackerSim shard count).
   FaultSpec faults;
+
+  /// Snapshot field list (the config section, snapshot.hpp), in stream
+  /// order. It also drives resume()'s config-override comparison, so a
+  /// field missing here is neither checkpointed nor compared.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& c) {
+    ar.io(c.num_peers);
+    ar.io(c.seeds);
+    ar.io(c.num_pieces);
+    ar.io(c.piece_kb);
+    ar.io(c.tft_slots);
+    ar.io(c.optimistic_rounds);
+    ar.io(c.round_seconds);
+    ar.io(c.neighbor_degree);
+    ar.io(c.post_flashcrowd);
+    ar.io(c.initial_completion);
+    ar.io(c.stay_as_seed);
+    ar.io(c.seed_upload_kbps);
+    ar.io(c.rate_smoothing);
+    ar.span(c.tft_slots_per_peer);
+    ar.io(c.endgame);
+    ar.io(c.retain_departed);
+    ar.io(c.threads);
+    ar.io(c.faults);
+  }
 };
+
+/// Throws std::invalid_argument naming the first field outside its
+/// domain. Shared by the Swarm and ReferenceSwarm constructors and
+/// Swarm::resume() (NaN fails every range check).
+void validate(const SwarmConfig& config);
 
 /// Per-peer accounting, exposed for metrics.
 struct PeerStats {
@@ -187,6 +217,19 @@ struct PeerStats {
   bool seed = false;            // started as a seed
   double join_round = 0.0;      // when the peer entered the swarm
   double leave_round = -1.0;    // when it departed (-1: still present)
+
+  /// Snapshot field list, in stream order.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& s) {
+    ar.io(s.upload_kbps);
+    ar.io(s.uploaded_kb);
+    ar.io(s.downloaded_kb);
+    ar.io(s.pieces);
+    ar.io(s.completion_round);
+    ar.io(s.seed);
+    ar.io(s.join_round);
+    ar.io(s.leave_round);
+  }
 };
 
 /// Swarm-level stratification summary, accumulated over every elapsed
@@ -803,21 +846,24 @@ class Swarm {
   [[nodiscard]] const FaultState& fault_state() const noexcept { return faults_; }
 
  private:
-  /// Tag ctor for resume(): binds config/rng and sizes the piece
-  /// containers, leaving every other member for the snapshot loader
-  /// (snapshot.cpp) to fill.
+  /// Tag ctor for resume(): binds the rng, leaving every other member
+  /// (the config and the piece containers sized from it included) for
+  /// the snapshot loader (snapshot.cpp) to fill.
   struct ResumeTag {};
-  Swarm(ResumeTag, const SwarmConfig& config, graph::Rng& rng)
-      : config_(config),
-        rng_(rng),
-        picker_(config.num_pieces),
-        reserved_scratch_(config.num_pieces) {}
+  Swarm(ResumeTag, graph::Rng& rng) : rng_(rng), picker_(0) {}
   /// Shared loader behind both resume() overloads (`override` may be
   /// null); defined in snapshot.cpp next to save().
   [[nodiscard]] static Swarm resume_impl(std::istream& in, graph::Rng& rng,
                                          const SwarmConfig* override_config);
   /// Shared body behind both save() overloads; defined in snapshot.cpp.
   void save_impl(snapshot_detail::Writer& w) const;
+  /// Members stored in a transformed form (snapshot.cpp).
+  struct Wire;
+  /// The snapshot field list: every serialized member in stream order,
+  /// serving save (Self = const Swarm) and resume alike; members stored
+  /// transformed travel through `wire`. Defined in snapshot.cpp.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& s, Wire& wire);
   /// Cheap upper bound on save()'s byte count, so the string overload
   /// reserves once (mid-save reallocation copies of a 10^5-peer
   /// snapshot would cost more than the serialization itself).
@@ -926,10 +972,9 @@ class Swarm {
   /// Tracker target degree (llround(neighbor_degree)).
   [[nodiscard]] std::size_t target_degree() const;
 
-  // strat-lint: serialized-via(write_config, read_config)
   SwarmConfig config_;
-  // strat-lint: serialized-via(rng_, restore) -- xoshiro words + Box-Muller
-  // cache captured in save_impl, restored into the caller's generator.
+  // strat-lint: serialized-via(rng) -- xoshiro words + Box-Muller cache
+  // as Wire::rng, restored into the caller's generator after the checksum.
   graph::Rng& rng_;
   /// Run key for the per-peer choke streams (one structural draw at
   /// construction): peer p's round-r choke randomness is
@@ -940,6 +985,7 @@ class Swarm {
   // --- dense peer rows -------------------------------------------------
   // External id <-> row indirection; every container below named
   // "row-indexed" compacts in lockstep with table_ removals.
+  // strat-lint: serialized-via(live_ids, row_gens, id_space) -- as Wire
   PeerTable table_;
   std::vector<PeerStats> stats_;    // row-indexed
   std::vector<Bitfield> have_;      // row-indexed
@@ -958,7 +1004,6 @@ class Swarm {
   // compacted in lockstep with the table like every row container.
   // Maintained even with faults off (push/compact only — no draws), so
   // enabling faults never changes container shapes.
-  // strat-lint: serialized-via(write_faults, read_faults)
   FaultState faults_;
   // strat-lint: not-serialized -- host-side checkpoint policy
   // (autosave_every), never simulation state; a resumed run re-arms it.
@@ -1032,6 +1077,7 @@ class Swarm {
   // populated only when config_.retain_departed. Aggregate counters are
   // maintained in both modes.
   std::vector<PeerStats> retired_stats_;
+  // strat-lint: serialized-via(retired_order) -- its inverse, as Wire
   std::vector<std::uint32_t> retired_ix_;  // external id -> retired index
   std::size_t retired_completed_ = 0;      // departed leechers holding all pieces
 
@@ -1042,8 +1088,10 @@ class Swarm {
   // every release so stale references are detectable. free_slots_
   // holds released ids.
   std::vector<core::PeerId> edge_peer_;   // slot -> neighbor (external id)
+  // strat-lint: serialized-via(mirror) -- narrowed to u32, as Wire
   std::vector<std::size_t> mirror_;       // slot -> reverse slot
   std::vector<std::uint32_t> slot_gen_;   // release count
+  // strat-lint: serialized-via(free_slots) -- narrowed to u32, as Wire
   std::vector<std::size_t> free_slots_;   // recycling free list
   std::vector<double> rate_in_;   // smoothed KB/round received on slot
   // strat-lint: not-serialized -- provably zero between rounds (fold_rates

@@ -399,33 +399,46 @@ EcosystemProfile TrackerSim::ecosystem_profile() const {
   return out;
 }
 
+template <class Ar, class Self>
+void TrackerSim::fields(Ar& ar, Self& t) {
+  constexpr bool kLoad = Ar::kLoading;
+  ar.header(kTrackerMagic, "tracker snapshot");
+
+  ar.section(kTagTrackerMeta, "tracker meta");
+  std::uint64_t swarm_count = t.swarms_.size();
+  ar.io(swarm_count);
+  if constexpr (kLoad) {
+    if (swarm_count == 0 || swarm_count > kMaxSwarms) {
+      throw SnapshotError("tracker snapshot: implausible swarm count");
+    }
+    t.swarms_.resize(static_cast<std::size_t>(swarm_count));  // resume() fills the slots
+  }
+  ar.io(t.round_);
+  ar.io(t.tracker_key_);
+  graph::Rng::State rng = t.tracker_rng_.state();
+  ar.io(rng);
+  if constexpr (kLoad) t.tracker_rng_.restore(rng);
+
+  // Registry: the id space (u64 on the wire), then the live records.
+  ar.section(kTagTrackerRegistry, "tracker registry");
+  std::uint64_t id_space = t.registry_.id_space();
+  ar.io(id_space);
+  if constexpr (kLoad) {
+    std::vector<PeerRegistry::Record> records;
+    ar.seq(records);
+    if (id_space > std::numeric_limits<GlobalPeerId>::max()) {
+      throw SnapshotError("tracker snapshot: implausible id space");
+    }
+    t.registry_.restore(std::move(records), static_cast<GlobalPeerId>(id_space));
+  } else {
+    ar.seq(t.registry_.records());
+  }
+}
+
 void TrackerSim::save(std::ostream& out) const {
   {
     snapshot_detail::Writer w(out);
-    w.u64(kTrackerMagic);
-    w.u32(kSnapshotVersion);
-
-    w.tag(kTagTrackerMeta);
-    w.u64(swarms_.size());
-    w.u64(round_);
-    w.u64(tracker_key_);
-    const graph::Rng::State st = tracker_rng_.state();
-    for (const std::uint64_t word : st.s) w.u64(word);
-    w.f64(st.cached_normal);
-    w.u8(st.has_cached_normal ? 1 : 0);
-
-    w.tag(kTagTrackerRegistry);
-    w.u64(registry_.id_space());
-    w.u64(registry_.size());
-    for (const PeerRegistry::Record& rec : registry_.records()) {
-      w.u32(rec.id);
-      w.f64(rec.upload_kbps);
-      w.u64(rec.memberships.size());
-      for (const PeerRegistry::Membership& m : rec.memberships) {
-        w.u32(m.swarm);
-        w.u32(m.local);
-      }
-    }
+    fields(w, *this);
     w.finish();
   }
   if (!out) throw SnapshotError("tracker snapshot: stream write failed");
@@ -437,88 +450,36 @@ void TrackerSim::save(std::ostream& out) const {
 
 TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
   TrackerSim t(cfg);
-  std::size_t num_swarms = 0;
-  std::vector<PeerRegistry::Record> records;
-  GlobalPeerId id_space = 0;
   {
     snapshot_detail::Reader r(in);
-    if (r.u64() != kTrackerMagic) throw SnapshotError("tracker snapshot: bad magic");
-    const std::uint32_t version = r.u32();
-    if (version != kSnapshotVersion) {
-      throw SnapshotError("tracker snapshot: unsupported version " + std::to_string(version));
-    }
-
-    r.expect_tag(kTagTrackerMeta, "tracker meta");
-    const std::uint64_t swarm_count = r.u64();
-    if (swarm_count == 0 || swarm_count > kMaxSwarms) {
-      throw SnapshotError("tracker snapshot: implausible swarm count");
-    }
-    num_swarms = static_cast<std::size_t>(swarm_count);
-    t.round_ = static_cast<std::size_t>(r.u64());
-    t.tracker_key_ = r.u64();
-    graph::Rng::State st;
-    for (std::uint64_t& word : st.s) word = r.u64();
-    st.cached_normal = r.f64();
-    st.has_cached_normal = r.u8() != 0;
     try {
-      t.tracker_rng_.restore(st);
-    } catch (const std::invalid_argument&) {
-      throw SnapshotError("tracker snapshot: invalid generator state");
-    }
-
-    r.expect_tag(kTagTrackerRegistry, "tracker registry");
-    const std::uint64_t space = r.u64();
-    if (space > std::numeric_limits<GlobalPeerId>::max()) {
-      throw SnapshotError("tracker snapshot: implausible id space");
-    }
-    id_space = static_cast<GlobalPeerId>(space);
-    const std::uint64_t count = r.u64();
-    if (count > space) throw SnapshotError("tracker snapshot: more records than ids");
-    records.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      PeerRegistry::Record rec;
-      rec.id = r.u32();
-      rec.upload_kbps = r.f64();
-      const std::uint64_t memberships = r.u64();
-      if (memberships == 0 || memberships > swarm_count) {
-        throw SnapshotError("tracker snapshot: implausible membership count");
-      }
-      rec.memberships.reserve(static_cast<std::size_t>(memberships));
-      for (std::uint64_t j = 0; j < memberships; ++j) {
-        PeerRegistry::Membership m;
-        m.swarm = r.u32();
-        m.local = r.u32();
-        if (m.swarm >= swarm_count) {
-          throw SnapshotError("tracker snapshot: membership names an unknown swarm");
-        }
-        rec.memberships.push_back(m);
-      }
-      records.push_back(std::move(rec));
+      fields(r, t);
+    } catch (const std::invalid_argument& e) {
+      throw SnapshotError(std::string("tracker snapshot: ") + e.what());
     }
     r.verify_checksum();
   }
 
-  t.swarms_.reserve(num_swarms);
-  for (std::size_t k = 0; k < num_swarms; ++k) {
-    auto slot = std::make_unique<SwarmSlot>();
+  for (auto& slot : t.swarms_) {
+    slot = std::make_unique<SwarmSlot>();
     slot->swarm.emplace(Swarm::resume(in, slot->rng));
     slot->driver.emplace(t.cfg_.swarm_churn, slot->swarm->config(), std::vector<double>{},
                          slot->rng);
     restore_churn_driver(in, *slot->driver);
-    t.swarms_.push_back(std::move(slot));
   }
 
-  for (const PeerRegistry::Record& rec : records) {
+  for (const PeerRegistry::Record& rec : t.registry_.records()) {
+    if (rec.memberships.size() > t.swarms_.size()) {
+      throw SnapshotError("tracker snapshot: implausible membership count");
+    }
     for (const PeerRegistry::Membership& m : rec.memberships) {
+      if (m.swarm >= t.swarms_.size()) {
+        throw SnapshotError("tracker snapshot: membership names an unknown swarm");
+      }
       if (m.local >= t.swarms_[m.swarm]->swarm->peer_count()) {
         throw SnapshotError("tracker snapshot: membership names an unknown peer");
       }
     }
-  }
-  try {
-    t.registry_.restore(std::move(records), id_space);
-  } catch (const std::invalid_argument& e) {
-    throw SnapshotError(std::string("tracker snapshot: ") + e.what());
   }
   t.build_zipf();
   return t;

@@ -151,12 +151,27 @@ class PeerRegistry {
   struct Membership {
     std::uint32_t swarm = 0;
     core::PeerId local = 0;
+
+    /// Snapshot field list (tracker registry section).
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& m) {
+      ar.io(m.swarm);
+      ar.io(m.local);
+    }
   };
   struct Record {
     GlobalPeerId id = 0;
     double upload_kbps = 0.0;
     /// Join order; index j is the peer's j-th capacity share.
     std::vector<Membership> memberships;
+
+    /// Snapshot field list (tracker registry section).
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& rec) {
+      ar.io(rec.id);
+      ar.io(rec.upload_kbps);
+      ar.seq(rec.memberships);
+    }
   };
 
   /// Registers a fresh peer; ids are arrival-ordered, never recycled.
@@ -344,6 +359,12 @@ class TrackerSim {
 
   /// Resume shell: binds the config, leaves the rest to resume().
   explicit TrackerSim(const TrackerConfig& cfg);
+
+  /// Snapshot field list of the tracker header (meta + registry
+  /// sections), serving save() and resume(); the per-swarm sections
+  /// follow it on the stream. Defined in tracker_sim.cpp.
+  template <class Ar, class Self>
+  static void fields(Ar& ar, Self& t);
 
   static void validate_config(const TrackerConfig& cfg);
   void build_zipf();

@@ -97,6 +97,14 @@ class Rng {
     std::uint64_t s[4] = {0, 0, 0, 0};
     double cached_normal = 0.0;
     bool has_cached_normal = false;
+
+    /// Snapshot field list (bittorrent/snapshot.hpp archives).
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& st) {
+      for (auto& word : st.s) ar.io(word);
+      ar.io(st.cached_normal);
+      ar.io(st.has_cached_normal);
+    }
   };
 
   [[nodiscard]] State state() const noexcept {

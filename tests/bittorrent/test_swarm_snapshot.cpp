@@ -14,7 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -391,15 +394,152 @@ TEST(SwarmSnapshot, RejectsSingleByteCorruption) {
   }
 }
 
+/// Counts the scalar and span fields a field list visits, recursing
+/// into nested lists.
+struct FieldCounter {
+  static constexpr bool kLoading = false;
+  std::size_t n = 0;
+  template <class T>
+  void io(const T& v) {
+    if constexpr (requires { T::fields(*this, v); }) {
+      T::fields(*this, v);
+    } else {
+      ++n;
+    }
+  }
+  template <class C>
+  void span(const C&) {
+    ++n;
+  }
+};
+
 TEST(SwarmSnapshot, RejectsConfigOverrideMismatch) {
   const std::string bytes = tiny_snapshot();
+  SwarmConfig stored = base_config(8);
+  stored.neighbor_degree = 4.0;
+  stored.num_pieces = 16;
+  // One edit per SwarmConfig/FaultSpec field; every one must be
+  // rejected. `threads` is the only field the override may change.
+  using Edit = void (*)(SwarmConfig&);
+  const std::vector<Edit> edits = {
+      [](SwarmConfig& c) { c.num_peers += 1; },
+      [](SwarmConfig& c) { c.seeds += 1; },
+      [](SwarmConfig& c) { c.num_pieces += 1; },
+      [](SwarmConfig& c) { c.piece_kb *= 2.0; },
+      [](SwarmConfig& c) { c.tft_slots += 1; },
+      [](SwarmConfig& c) { c.optimistic_rounds += 1; },
+      [](SwarmConfig& c) { c.round_seconds *= 2.0; },
+      [](SwarmConfig& c) { c.neighbor_degree += 1.0; },
+      [](SwarmConfig& c) { c.post_flashcrowd = !c.post_flashcrowd; },
+      [](SwarmConfig& c) { c.initial_completion = 0.25; },
+      [](SwarmConfig& c) { c.stay_as_seed = !c.stay_as_seed; },
+      [](SwarmConfig& c) { c.seed_upload_kbps = 123.0; },
+      [](SwarmConfig& c) { c.rate_smoothing = 0.75; },
+      [](SwarmConfig& c) { c.tft_slots_per_peer.assign(c.num_peers, 3); },
+      [](SwarmConfig& c) { c.endgame = !c.endgame; },
+      [](SwarmConfig& c) { c.retain_departed = !c.retain_departed; },
+      [](SwarmConfig& c) { c.faults.outage_period = 5; },
+      [](SwarmConfig& c) { c.faults.outage_duration = 1; },
+      [](SwarmConfig& c) { c.faults.outage_phase = 2; },
+      [](SwarmConfig& c) { c.faults.connect_failure_prob = 0.1; },
+      [](SwarmConfig& c) { c.faults.connect_attempts = 5; },
+      [](SwarmConfig& c) { c.faults.nat_fraction = 0.1; },
+      [](SwarmConfig& c) { c.faults.lane_loss_prob = 0.1; },
+      [](SwarmConfig& c) { c.faults.backoff_base = 2; },
+      [](SwarmConfig& c) { c.faults.backoff_cap = 32; },
+  };
+  FieldCounter counter;
+  counter.io(stored);
+  ASSERT_EQ(edits.size() + 1, counter.n) << "one edit per config field besides `threads`";
+
+  SwarmConfig threaded = stored;
+  threaded.threads = 4;
+  EXPECT_NO_THROW((void)resume_from_string(bytes, threaded));
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    SwarmConfig cfg = threaded;
+    edits[i](cfg);
+    EXPECT_THROW((void)resume_from_string(bytes, cfg), SnapshotError) << "field edit " << i;
+  }
+}
+
+/// resume_from_string()'s error message, or "" when it loads.
+std::string resume_error(const std::string& bytes) {
+  try {
+    (void)resume_from_string(bytes);
+  } catch (const SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+template <class T>
+void patch(std::string& bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof value, bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+}
+
+TEST(SwarmSnapshot, ResumeRunsTheConstructorsConfigValidation) {
+  // A config the constructor rejects, patched in place into a valid
+  // snapshot, must be rejected by name before the checksum is reached.
+  // Offsets in the config section, which starts after the 8-byte
+  // magic, 4-byte version and 4-byte tag: eight 8-byte fields from
+  // num_peers to neighbor_degree, the post_flashcrowd byte, then
+  // initial_completion; the fault spec follows the threads field.
+  constexpr std::size_t kPieceKb = 16 + 3 * 8;
+  constexpr std::size_t kInitialCompletion = 16 + 8 * 8 + 1;
+  constexpr std::size_t kOutagePeriod = kInitialCompletion + 8 + 1 + 8 + 8 + 8 + 1 + 1 + 8;
+  constexpr std::size_t kConnectFailureProb = kOutagePeriod + 3 * 8;
+  constexpr std::size_t kConnectAttempts = kConnectFailureProb + 8;
+  constexpr std::size_t kBackoffBase = kConnectAttempts + 3 * 8;
+  const std::string bytes = tiny_snapshot();
+  // The offsets above land on the stored values.
+  std::string probe = bytes;
+  const SwarmConfig cfg = base_config(8);
+  double stored_kb = 0.0;
+  std::memcpy(&stored_kb, probe.data() + kPieceKb, 8);
+  ASSERT_EQ(stored_kb, cfg.piece_kb);
+  std::uint64_t stored_base = 0;
+  std::memcpy(&stored_base, probe.data() + kBackoffBase, 8);
+  ASSERT_EQ(stored_base, cfg.faults.backoff_base);
+
+  const auto expect_config_error = [](const std::string& patched, const char* what) {
+    const std::string error = resume_error(patched);
+    EXPECT_NE(error.find("config"), std::string::npos) << what << ": " << error;
+    EXPECT_EQ(error.find("checksum"), std::string::npos) << what << ": " << error;
+  };
+  {
+    std::string b = bytes;
+    patch(b, kPieceKb, std::numeric_limits<double>::quiet_NaN());
+    expect_config_error(b, "NaN piece_kb");
+  }
+  {
+    std::string b = bytes;
+    patch(b, kInitialCompletion, 1.5);
+    expect_config_error(b, "initial_completion 1.5");
+  }
+  {
+    std::string b = bytes;
+    patch(b, kConnectFailureProb, 2.0);
+    expect_config_error(b, "connect_failure_prob 2");
+  }
+  {
+    std::string b = bytes;
+    patch(b, kConnectAttempts, std::uint64_t{0});
+    expect_config_error(b, "connect_attempts 0");
+  }
+  {
+    std::string b = bytes;
+    patch(b, kBackoffBase, std::uint64_t{0});
+    expect_config_error(b, "backoff_base 0");
+  }
+}
+
+TEST(SwarmSnapshot, ConstructorsRejectNaNPieceSize) {
   SwarmConfig cfg = base_config(8);
-  cfg.neighbor_degree = 4.0;
-  cfg.num_pieces = 16;
-  cfg.threads = 4;  // allowed to differ
-  EXPECT_NO_THROW((void)resume_from_string(bytes, cfg));
-  cfg.piece_kb *= 2.0;  // not allowed to differ
-  EXPECT_THROW((void)resume_from_string(bytes, cfg), SnapshotError);
+  cfg.piece_kb = std::numeric_limits<double>::quiet_NaN();
+  graph::Rng rng(kSeed);
+  EXPECT_THROW(Swarm(cfg, capacities(8), rng), std::invalid_argument);
+  EXPECT_THROW(ReferenceSwarm(cfg, capacities(8), rng), std::invalid_argument);
 }
 
 // --- format pins -----------------------------------------------------------

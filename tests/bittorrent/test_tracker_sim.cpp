@@ -258,26 +258,24 @@ TEST(TrackerSim, ResumeContinuesBitwiseAtAnyShardCount) {
 }
 
 TEST(TrackerSim, ResumeRejectsCorruptStreams) {
-  TrackerSim tracker = churned_tracker(1, 3, 12, 5);
+  // Every truncation prefix and every single-byte flip of a small
+  // 2-swarm stream — tracker header, registry, and each swarm's
+  // snapshot and churn companion section — must throw SnapshotError.
+  TrackerSim tracker = churned_tracker(1, 2, 8, 5);
   tracker.run(4);
   const std::string snapshot = save_bytes(tracker);
-
-  {
-    std::string bad = snapshot;
-    bad[0] ^= 0x01;  // magic
-    std::istringstream in(bad);
-    EXPECT_THROW((void)TrackerSim::resume(in, churned_config(1)), SnapshotError);
+  const auto resume = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    (void)TrackerSim::resume(in, churned_config(1));
+  };
+  ASSERT_NO_THROW(resume(snapshot));
+  for (std::size_t len = 0; len < snapshot.size(); ++len) {
+    EXPECT_THROW(resume(snapshot.substr(0, len)), SnapshotError) << "prefix length " << len;
   }
-  {
+  for (std::size_t at = 0; at < snapshot.size(); ++at) {
     std::string bad = snapshot;
-    bad[40] ^= 0x01;  // inside the tracker header: checksum mismatch
-    std::istringstream in(bad);
-    EXPECT_THROW((void)TrackerSim::resume(in, churned_config(1)), SnapshotError);
-  }
-  {
-    const std::string truncated = snapshot.substr(0, snapshot.size() / 2);
-    std::istringstream in(truncated);
-    EXPECT_THROW((void)TrackerSim::resume(in, churned_config(1)), SnapshotError);
+    bad[at] = static_cast<char>(bad[at] ^ 0xFF);
+    EXPECT_THROW(resume(bad), SnapshotError) << "byte offset " << at;
   }
 }
 

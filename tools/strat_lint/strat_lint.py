@@ -31,10 +31,11 @@ strat-lint pins each contract with one rule:
                          ``graph::Rng`` (``steady_clock`` is allowed:
                          it feeds wall-clock profiling, never state).
   R4  snapshot-complete  every data member of the snapshot-contract
-                         classes (``Swarm``, ``ChurnDriver``) appears
-                         in both the save and the load sections of
-                         their serializer, or carries an explicit
-                         waiver; section tags must round-trip too.
+                         classes (``Swarm``, ``FaultState``,
+                         ``ChurnDriver``, ``TrackerSim``) appears in
+                         the class's one ``fields`` list — which drives
+                         both save and load — or carries an explicit
+                         waiver; every section tag is in the list too.
   R5  float-reduction    no compound floating-point/integer
                          accumulation into shared (captured,
                          unindexed) variables inside a
@@ -50,12 +51,12 @@ R4 member annotations (on the member's declaration line or the line
 directly above)::
 
     // strat-lint: not-serialized -- <why resume can rebuild/ignore it>
-    // strat-lint: serialized-via(<save-token>, <load-token>)
+    // strat-lint: serialized-via(<token>[, <token>...])
 
-``serialized-via`` names the accessor/helper tokens that must appear in
-the serializer's save and load sections respectively, for members that
-travel through an accessor (e.g. ``ChurnDriver::deadline_snapshot``)
-rather than by name.
+``serialized-via`` names the tokens that must appear in the field list
+for members that travel transformed — through an accessor (e.g.
+``ChurnDriver::deadline_snapshot``) or a wire image (``Swarm::Wire``)
+— rather than by name.
 
 The tool is Python 3 stdlib-only and does lightweight lexical C++
 parsing (comment stripping, brace matching, declaration scans) — it is
@@ -393,60 +394,42 @@ def check_banned_randomness(path: Path, stripped: str) -> list[Finding]:
 class SnapshotContract:
     class_name: str
     header: str  # repo-relative path holding the class definition
-    serializers: list[str]  # repo-relative paths holding save/load code
-    save_fns: list[str]  # function names forming the save section
-    load_fns: list[str]  # function names forming the load section
-    check_tags: bool = True  # require kTag* constants in both sections
+    # Repo-relative path holding the class's field list: an out-of-line
+    # ``Class::fields`` definition, or (default) the ``fields`` member
+    # defined inside the class body in `header`.
+    serializer: str = ""
 
 
 DEFAULT_CONTRACTS = [
-    SnapshotContract(
-        class_name="Swarm",
-        header="src/bittorrent/swarm.hpp",
-        serializers=["src/bittorrent/snapshot.cpp"],
-        save_fns=["save_impl", "write_config", "write_stats", "write_faults"],
-        load_fns=["resume_impl", "read_config", "read_stats", "read_faults"],
-    ),
-    SnapshotContract(
-        class_name="FaultState",
-        header="src/bittorrent/faults.hpp",
-        serializers=["src/bittorrent/snapshot.cpp"],
-        save_fns=["write_faults"],
-        load_fns=["read_faults"],
-        check_tags=False,  # kTagFaults is owned by the Swarm contract
-    ),
-    SnapshotContract(
-        class_name="ChurnDriver",
-        header="src/bittorrent/scenario.hpp",
-        serializers=["src/bittorrent/snapshot.hpp"],
-        save_fns=["save_churn_driver"],
-        load_fns=["restore_churn_driver"],
-        check_tags=False,  # the companion section is tagged by magic only
-    ),
-    SnapshotContract(
-        class_name="TrackerSim",
-        header="src/bittorrent/tracker_sim.hpp",
-        serializers=["src/bittorrent/tracker_sim.cpp"],
-        save_fns=["save"],
-        load_fns=["resume"],
-    ),
+    SnapshotContract("Swarm", "src/bittorrent/swarm.hpp", "src/bittorrent/snapshot.cpp"),
+    SnapshotContract("FaultState", "src/bittorrent/faults.hpp"),
+    SnapshotContract("ChurnDriver", "src/bittorrent/scenario.hpp"),
+    SnapshotContract("TrackerSim", "src/bittorrent/tracker_sim.hpp",
+                     "src/bittorrent/tracker_sim.cpp"),
 ]
 
 MEMBER_DECL_RE = re.compile(r"(\w+_)\s*(?:=[^;]*)?;\s*$")
 NOT_SERIALIZED_RE = re.compile(r"strat-lint:\s*not-serialized\s*--\s*\S")
-SERIALIZED_VIA_RE = re.compile(r"strat-lint:\s*serialized-via\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+SERIALIZED_VIA_RE = re.compile(r"strat-lint:\s*serialized-via\(([\w\s,]+)\)")
 TAG_CONST_RE = re.compile(r"constexpr\s+std::uint32_t\s+(kTag\w+)")
+
+
+def class_body(stripped: str, class_name: str) -> tuple[int, int] | None:
+    """(open, close) brace offsets of `class_name`'s definition."""
+    m = re.search(r"\bclass\s+" + re.escape(class_name) + r"\b[^;{]*\{", stripped)
+    if not m:
+        return None
+    return m.end() - 1, match_brace(stripped, m.end() - 1)
 
 
 def class_members(stripped: str, class_name: str) -> list[tuple[str, int]]:
     """(member name, line) for every data member (trailing-underscore
     convention) declared at the top level of `class_name`'s body.
     Nested types and inline method bodies are skipped by brace depth."""
-    m = re.search(r"\bclass\s+" + re.escape(class_name) + r"\b[^;{]*\{", stripped)
-    if not m:
+    span = class_body(stripped, class_name)
+    if span is None:
         return []
-    body_open = m.end() - 1
-    body_close = match_brace(stripped, body_open)
+    body_open, body_close = span
     members = []
     depth = 0
     stmt_start = body_open + 1
@@ -469,10 +452,22 @@ def class_members(stripped: str, class_name: str) -> list[tuple[str, int]]:
     return members
 
 
-def member_annotations(raw: str, line: int) -> tuple[bool, tuple[str, str] | None]:
+def fields_body(stripped: str, class_name: str) -> str | None:
+    """Body of the class's field list: an out-of-line `Class::fields`
+    definition, else the `fields` member defined in the class body."""
+    body = function_body(stripped, class_name + "::fields")
+    if body is not None:
+        return body
+    span = class_body(stripped, class_name)
+    if span is None:
+        return None
+    return function_body(stripped[span[0] + 1:span[1]], "fields")
+
+
+def member_annotations(raw: str, line: int) -> tuple[bool, list[str]]:
     """R4 annotations on the member's declaration line or anywhere in
     the contiguous comment block directly above it:
-    (waived as not-serialized, serialized-via tokens or None)."""
+    (waived as not-serialized, serialized-via tokens)."""
     lines = raw.splitlines()
     block = [lines[line - 1]] if line - 1 < len(lines) else []
     ix = line - 2
@@ -482,35 +477,33 @@ def member_annotations(raw: str, line: int) -> tuple[bool, tuple[str, str] | Non
     context = "\n".join(block)
     waived = NOT_SERIALIZED_RE.search(context) is not None
     via = SERIALIZED_VIA_RE.search(context)
-    return waived, (via.group(1), via.group(2)) if via else None
+    return waived, [t.strip() for t in via.group(1).split(",")] if via else []
 
 
 def check_snapshot_complete(root: Path, contracts: list[SnapshotContract]) -> list[Finding]:
     findings = []
     for contract in contracts:
         header_path = root / contract.header
+        ser_path = root / (contract.serializer or contract.header)
         if not header_path.is_file():
             findings.append(Finding(header_path, 1, R4,
                                     f"snapshot contract header missing for {contract.class_name}"))
             continue
+        if not ser_path.is_file():
+            findings.append(Finding(ser_path, 1, R4,
+                                    f"serializer file missing for {contract.class_name}"))
+            continue
         raw = header_path.read_text()
         stripped = strip_comments(raw)
+        ser_stripped = strip_comments(ser_path.read_text())
+        fn = f"{contract.class_name}::fields"
+        body = fields_body(ser_stripped, contract.class_name)
+        if body is None:
+            findings.append(Finding(ser_path, 1, R4, f"no field list {fn} found"))
+            continue
 
-        save_text, load_text = "", ""
-        for ser in contract.serializers:
-            ser_path = root / ser
-            if not ser_path.is_file():
-                findings.append(Finding(ser_path, 1, R4,
-                                        f"serializer file missing for {contract.class_name}"))
-                continue
-            ser_stripped = strip_comments(ser_path.read_text())
-            for fn in contract.save_fns:
-                save_text += function_body(ser_stripped, fn) or ""
-            for fn in contract.load_fns:
-                load_text += function_body(ser_stripped, fn) or ""
-
-        def has_token(text: str, token: str) -> bool:
-            return re.search(r"\b" + re.escape(token) + r"\b", text) is not None
+        def listed(token: str) -> bool:
+            return re.search(r"\b" + re.escape(token) + r"\b", body) is not None
 
         members = class_members(stripped, contract.class_name)
         if not members:
@@ -522,51 +515,21 @@ def check_snapshot_complete(root: Path, contracts: list[SnapshotContract]) -> li
             waived, via = member_annotations(raw, line)
             if waived:
                 continue
-            if via:
-                save_tok, load_tok = via
-                if not has_token(save_text, save_tok):
-                    findings.append(Finding(
-                        header_path, line, R4,
-                        f"{contract.class_name}::{name} is marked serialized-via({save_tok}, "
-                        f"{load_tok}) but '{save_tok}' does not appear in the save sections "
-                        f"({', '.join(contract.save_fns)})"))
-                if not has_token(load_text, load_tok):
-                    findings.append(Finding(
-                        header_path, line, R4,
-                        f"{contract.class_name}::{name} is marked serialized-via({save_tok}, "
-                        f"{load_tok}) but '{load_tok}' does not appear in the load sections "
-                        f"({', '.join(contract.load_fns)})"))
-                continue
-            if not has_token(save_text, name):
+            missing = [t for t in via if not listed(t)] if via else \
+                ([] if listed(name) else [name])
+            if missing:
                 findings.append(Finding(
                     header_path, line, R4,
-                    f"{contract.class_name}::{name} is not written in any save section "
-                    f"({', '.join(contract.save_fns)}); serialize it, or annotate the "
-                    "declaration with '// strat-lint: not-serialized -- <reason>' or "
-                    "'// strat-lint: serialized-via(<save>, <load>)'"))
-            if not has_token(load_text, name):
-                findings.append(Finding(
-                    header_path, line, R4,
-                    f"{contract.class_name}::{name} is not restored in any load section "
-                    f"({', '.join(contract.load_fns)}); a snapshot would silently drop it"))
+                    f"{contract.class_name}::{name} is not serialized: "
+                    f"{', '.join(repr(t) for t in missing)} missing from {fn}; list it, or "
+                    "annotate the declaration with '// strat-lint: not-serialized -- <reason>' "
+                    "or '// strat-lint: serialized-via(<token in the list>)'"))
 
-        # Section tags must round-trip: every kTag* constant declared in a
-        # serializer has to be both written and expected.
-        if contract.check_tags:
-            for ser in contract.serializers:
-                ser_path = root / ser
-                if not ser_path.is_file():
-                    continue
-                ser_raw = ser_path.read_text()
-                ser_stripped = strip_comments(ser_raw)
-                for m in TAG_CONST_RE.finditer(ser_stripped):
-                    tag = m.group(1)
-                    if not has_token(save_text, tag):
-                        findings.append(Finding(ser_path, line_of(ser_stripped, m.start()), R4,
-                                                f"section tag {tag} is never written in the save sections"))
-                    if not has_token(load_text, tag):
-                        findings.append(Finding(ser_path, line_of(ser_stripped, m.start()), R4,
-                                                f"section tag {tag} is never expected in the load sections"))
+        # Every section tag declared next to the field list must be in it.
+        for m in TAG_CONST_RE.finditer(ser_stripped):
+            if not listed(m.group(1)):
+                findings.append(Finding(ser_path, line_of(ser_stripped, m.start()), R4,
+                                        f"section tag {m.group(1)} is not in {fn}"))
     return findings
 
 

@@ -1,37 +1,21 @@
-// Fixture: serializer for the R4 contract class in r4_state.hpp.
-// Covers round_counter_, rates_, and flags_ (via its accessors);
-// dropped_ is intentionally absent from both sections.
+// Fixture: field list for the R4 contract class in r4_state.hpp.
+// Covers round_counter_, rates_, and flags_ (via its encode/decode
+// transform); dropped_ is intentionally absent.
 #include "r4_state.hpp"
 
 namespace fixture {
 
-struct Writer {
-  void u64(std::uint64_t);
-  void u32(std::uint32_t);
-  void f64_vec(const std::vector<double>&);
-};
-
-struct Reader {
-  std::uint64_t u64();
-  std::uint32_t u32();
-  std::vector<double> f64_vec();
-};
-
 std::uint32_t encode_flags(const MiniState&);
 void decode_flags(MiniState&, std::uint32_t);
 
-struct MiniStateAccess {
-  static void save_mini(const MiniState& s, Writer& w) {
-    w.u64(s.round_counter_);
-    w.f64_vec(s.rates_);
-    w.u32(encode_flags(s));
-  }
-
-  static void load_mini(MiniState& s, Reader& r) {
-    s.round_counter_ = r.u64();
-    s.rates_ = r.f64_vec();
-    decode_flags(s, r.u32());
-  }
-};
+template <class Ar, class Self>
+void MiniState::fields(Ar& ar, Self& s) {
+  ar.io(s.round_counter_);
+  ar.span(s.rates_);
+  std::uint32_t flags = 0;
+  if constexpr (!Ar::kLoading) flags = encode_flags(s);
+  ar.io(flags);
+  if constexpr (Ar::kLoading) decode_flags(s, flags);
+}
 
 }  // namespace fixture

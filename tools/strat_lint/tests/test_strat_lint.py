@@ -10,8 +10,8 @@ Three layers:
   * repo regression — the real tree under ``src/``, ``bench/``,
     ``tests/`` is clean, so any new violation fails tier-1;
   * snapshot-contract demo — deleting a serialized ``Swarm`` member's
-    save line from a copy of ``snapshot.cpp`` makes R4 fire without
-    running a single simulation.
+    entry from a copy of its field list (``Swarm::fields`` in
+    ``snapshot.cpp``) makes R4 fire without running a single simulation.
 """
 
 from __future__ import annotations
@@ -81,18 +81,14 @@ class FixtureDetectionTest(unittest.TestCase):
         contract = SnapshotContract(
             class_name="MiniState",
             header="r4_state.hpp",
-            serializers=["r4_snapshot.cpp"],
-            save_fns=["save_mini"],
-            load_fns=["load_mini"],
-            check_tags=False,
+            serializer="r4_snapshot.cpp",
         )
         findings = check_snapshot_complete(FIXTURES, [contract])
         self.assertEqual(rules_of(findings), {R4})
-        # dropped_ is missing from both sections; every covered, waived,
+        # dropped_ is missing from the field list; every covered, waived,
         # or via-annotated member stays silent.
-        self.assertEqual(len(findings), 2)
-        for f in findings:
-            self.assertIn("MiniState::dropped_", f.message)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("MiniState::dropped_", findings[0].message)
 
     def test_r5_shared_accumulation(self):
         findings = self.lint_fixture("r5_float_reduction.cpp")
@@ -138,15 +134,15 @@ class RepoRegressionTest(unittest.TestCase):
 
 
 class SnapshotDeletionDemoTest(unittest.TestCase):
-    """Acceptance demo: removing a serialized Swarm member's save line
-    makes R4 fail locally, before any simulation runs."""
+    """Acceptance demo: removing a serialized member's entry from its
+    class's field list makes R4 fail locally, before any simulation
+    runs."""
 
     CONTRACT_FILES = [
         "src/bittorrent/swarm.hpp",
         "src/bittorrent/faults.hpp",
         "src/bittorrent/scenario.hpp",
         "src/bittorrent/snapshot.cpp",
-        "src/bittorrent/snapshot.hpp",
         "src/bittorrent/tracker_sim.hpp",
         "src/bittorrent/tracker_sim.cpp",
     ]
@@ -165,42 +161,39 @@ class SnapshotDeletionDemoTest(unittest.TestCase):
         self.assertEqual(findings, [],
                          "\n".join(f.render(tmp) for f in findings))
 
-    def test_deleting_save_line_fires_r4(self):
+    def prune_and_lint(self, rel: str, entry: str):
+        """Deletes the single line holding `entry` from a copy of `rel`
+        and returns R4's findings on the copied tree."""
         with tempfile.TemporaryDirectory() as tmpdir:
             tmp = Path(tmpdir)
             self.copy_contract_tree(tmp)
-            serializer = tmp / "src/bittorrent/snapshot.cpp"
-            lines = serializer.read_text().splitlines(keepends=True)
-            pruned = [ln for ln in lines if "w.pod_span(rate_in_" not in ln]
+            target = tmp / rel
+            lines = target.read_text().splitlines(keepends=True)
+            pruned = [ln for ln in lines if entry not in ln]
             self.assertEqual(len(lines) - len(pruned), 1,
-                             "expected exactly one rate_in_ save line to prune")
-            serializer.write_text("".join(pruned))
-            findings = check_snapshot_complete(tmp, strat_lint.DEFAULT_CONTRACTS)
+                             f"expected exactly one '{entry}' line to prune")
+            target.write_text("".join(pruned))
+            return check_snapshot_complete(tmp, strat_lint.DEFAULT_CONTRACTS)
+
+    def test_deleting_field_list_entry_fires_r4(self):
+        findings = self.prune_and_lint("src/bittorrent/snapshot.cpp",
+                                       "ar.span(s.rate_in_);")
         self.assertTrue(
             any(f.rule == R4 and "Swarm::rate_in_" in f.message
-                and "not written" in f.message for f in findings),
-            "R4 must flag the dropped rate_in_ save line: " +
+                and "not serialized" in f.message for f in findings),
+            "R4 must flag the dropped rate_in_ entry: " +
             "; ".join(f.message for f in findings))
 
-    def test_deleting_fault_save_line_fires_r4(self):
-        # Same demo for the FaultState contract: write_faults must
+    def test_deleting_fault_field_list_entry_fires_r4(self):
+        # Same demo for the FaultState contract: FaultState::fields must
         # cover every member of faults.hpp, so dropping the
         # retry_round_ span makes R4 fail before any simulation runs.
-        with tempfile.TemporaryDirectory() as tmpdir:
-            tmp = Path(tmpdir)
-            self.copy_contract_tree(tmp)
-            serializer = tmp / "src/bittorrent/snapshot.cpp"
-            lines = serializer.read_text().splitlines(keepends=True)
-            pruned = [ln for ln in lines
-                      if "w.pod_span(fs.retry_round_" not in ln]
-            self.assertEqual(len(lines) - len(pruned), 1,
-                             "expected exactly one retry_round_ save line to prune")
-            serializer.write_text("".join(pruned))
-            findings = check_snapshot_complete(tmp, strat_lint.DEFAULT_CONTRACTS)
+        findings = self.prune_and_lint("src/bittorrent/faults.hpp",
+                                       "ar.span(fs.retry_round_);")
         self.assertTrue(
             any(f.rule == R4 and "FaultState::retry_round_" in f.message
-                and "not written" in f.message for f in findings),
-            "R4 must flag the dropped fault save line: " +
+                and "not serialized" in f.message for f in findings),
+            "R4 must flag the dropped retry_round_ entry: " +
             "; ".join(f.message for f in findings))
 
 
