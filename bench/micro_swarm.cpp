@@ -9,7 +9,10 @@
 // paper's x/1000 regime through the dynamic overlay) — the
 // BM_SwarmRound/5000 ratio is the cost of churn, which the acceptance
 // bar keeps within 1.25x. scripts/bench_all.sh snapshots the whole
-// file into BENCH_swarm.json.
+// file into BENCH_swarm.json. Benches that fan out over threads
+// (BM_SwarmRoundThreads, BM_TrackerSimShards, BM_*Replications) use
+// real time, so their items_per_second is wall-clock throughput, not
+// the main thread's CPU rate.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -119,6 +122,7 @@ BENCHMARK(BM_SwarmRoundThreads)
     ->Args({100000, 4})
     ->Args({100000, 8})
     ->Iterations(3)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // 10^5 peers: ~3M edge slots. Fixed iterations keep the harness from
@@ -266,6 +270,7 @@ void BM_ScenarioReplications(benchmark::State& state) {
 BENCHMARK(BM_ScenarioReplications)
     ->Args({4, 1})
     ->Args({4, 4})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Churned replication throughput: the same sweep with replacement
@@ -296,6 +301,7 @@ void BM_ChurnScenarioReplications(benchmark::State& state) {
 BENCHMARK(BM_ChurnScenarioReplications)
     ->Args({4, 1})
     ->Args({4, 4})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Checkpoint serialization cost at 10^4 and 10^5 peers: one iteration
@@ -353,8 +359,8 @@ BENCHMARK(BM_SwarmSnapshot)
 // throughput. The counters split each round the way the sharding
 // model does: barrier_ms is the serial tracker phase (registry prune,
 // capacity re-split, Zipf arrivals), shard_ms the parallel fan-out,
-// and imbalance_ms the max-min shard wall-clock spread — the number
-// that says whether round-robin swarm assignment is leaving cores
+// and imbalance_ms the max-min worker wall-clock spread — the number
+// that says whether longest-first swarm claiming is leaving cores
 // idle. Runs are bitwise identical across the shard sweep (the
 // test-suite contract); only the wall clock may move.
 
@@ -420,6 +426,7 @@ void BM_TrackerSimShards(benchmark::State& state) {
 BENCHMARK(BM_TrackerSimShards)
     ->ArgsProduct({{10, 100, 1000}, {1, 2, 4, 8}})
     ->Iterations(5)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The shards=1 overhead gate: the same closed (no arrivals, frozen

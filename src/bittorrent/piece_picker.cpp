@@ -1,7 +1,9 @@
 #include "bittorrent/piece_picker.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -51,6 +53,24 @@ Bitfield Bitfield::from_words(std::size_t bits, std::vector<std::uint64_t> words
     out.count_ += static_cast<std::size_t>(std::popcount(w));
   }
   return out;
+}
+
+Bitfield Bitfield::bernoulli(std::size_t bits, double p, graph::Rng& rng) {
+  // uniform() is (draw >> 11) * 2^-53, so uniform() < p iff
+  // (draw >> 11) < p * 2^53: both sides are scaled by a power of two,
+  // which is exact, and the comparison becomes branch-free.
+  const double threshold = p * 0x1.0p53;
+  std::vector<std::uint64_t> words((bits + 63) / 64, 0);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::size_t width = std::min<std::size_t>(64, bits - w * 64);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      const bool hit = static_cast<double>(rng() >> 11) < threshold;
+      word |= static_cast<std::uint64_t>(hit) << i;
+    }
+    words[w] = word;
+  }
+  return from_words(bits, std::move(words));
 }
 
 bool Bitfield::interested_in(const Bitfield& other) const {

@@ -49,6 +49,12 @@ class Bitfield {
   /// recomputed, never trusted from the caller.
   [[nodiscard]] static Bitfield from_words(std::size_t bits, std::vector<std::uint64_t> words);
 
+  /// Independent Bernoulli(p) bitfield: exactly one rng() per piece in
+  /// ascending order, piece i set iff that draw's uniform() < p — the
+  /// same bits and final generator state as a per-piece
+  /// rng.bernoulli(p) + set() loop, filled a word at a time.
+  [[nodiscard]] static Bitfield bernoulli(std::size_t bits, double p, graph::Rng& rng);
+
  private:
   std::size_t bits_ = 0;
   std::size_t count_ = 0;

@@ -79,12 +79,8 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
       stats_[p].pieces = config.num_pieces;
       stats_[p].completion_round = 0.0;
     } else if (config.post_flashcrowd) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) {
-        if (rng.bernoulli(config.initial_completion)) {
-          have_[p].set(piece);
-          picker_.add_availability(piece);
-        }
-      }
+      have_[p] = Bitfield::bernoulli(config.num_pieces, config.initial_completion, rng);
+      picker_.add_bitfield(have_[p]);
       stats_[p].pieces = have_[p].count();
       if (have_[p].complete()) {
         stats_[p].completion_round = 0.0;

@@ -213,12 +213,10 @@ class ChurnDriver {
   /// against `rng` matches join_fresh minus the capacity draw. Returns
   /// the new peer's external id. Call between rounds only.
   core::PeerId join_injected(SwarmT& swarm, double kbps) {
-    Bitfield have(config_.num_pieces);
-    if (spec_.arrival_completion > 0.0) {
-      for (PieceId piece = 0; piece < config_.num_pieces; ++piece) {
-        if (rng_.bernoulli(spec_.arrival_completion)) have.set(piece);
-      }
-    }
+    const Bitfield have =
+        spec_.arrival_completion > 0.0
+            ? Bitfield::bernoulli(config_.num_pieces, spec_.arrival_completion, rng_)
+            : Bitfield(config_.num_pieces);
     const core::PeerId p = swarm.join(kbps, have);
     set_deadline(p, static_cast<double>(swarm.rounds_elapsed()));
     return p;

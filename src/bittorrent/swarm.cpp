@@ -157,12 +157,8 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       stats_[r].pieces = config.num_pieces;
       stats_[r].completion_round = 0.0;
     } else if (config.post_flashcrowd) {
-      for (PieceId piece = 0; piece < config.num_pieces; ++piece) {
-        if (rng.bernoulli(config.initial_completion)) {
-          have_[r].set(piece);
-          picker_.add_availability(piece);
-        }
-      }
+      have_[r] = Bitfield::bernoulli(config.num_pieces, config.initial_completion, rng);
+      picker_.add_bitfield(have_[r]);
       stats_[r].pieces = have_[r].count();
       if (have_[r].complete()) {
         // The Bernoulli draws can complete a leecher outright; treat it

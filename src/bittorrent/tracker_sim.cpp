@@ -1,6 +1,7 @@
 #include "bittorrent/tracker_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <istream>
@@ -190,20 +191,22 @@ std::size_t TrackerSim::live_membership_count() const {
 
 void TrackerSim::maintain_registry() {
   registry_.prune([&](PeerRegistry::Record& rec) {
+    const std::size_t before = rec.memberships.size();
     std::erase_if(rec.memberships, [&](const PeerRegistry::Membership& m) {
       return swarms_[m.swarm]->swarm->departed(m.local);
     });
-    return rec.memberships.empty();
-  });
-  if (!cfg_.dynamic_capacity_split) return;
-  for (const PeerRegistry::Record& rec : registry_.records()) {
     const std::size_t m = rec.memberships.size();
-    for (std::size_t j = 0; j < m; ++j) {
-      const PeerRegistry::Membership& mem = rec.memberships[j];
-      swarms_[mem.swarm]->swarm->set_upload_capacity(
-          mem.local, membership_capacity_share(rec.upload_kbps, m, j));
+    // Construction and admit_one() assign the m-way split, so only a
+    // record that just lost a membership needs re-splitting.
+    if (cfg_.dynamic_capacity_split && m != 0 && m != before) {
+      for (std::size_t j = 0; j < m; ++j) {
+        const PeerRegistry::Membership& mem = rec.memberships[j];
+        swarms_[mem.swarm]->swarm->set_upload_capacity(
+            mem.local, membership_capacity_share(rec.upload_kbps, m, j));
+      }
     }
-  }
+    return m == 0;
+  });
 }
 
 void TrackerSim::admit_arrivals() {
@@ -247,19 +250,27 @@ void TrackerSim::run_round() {
   const auto barrier_end = std::chrono::steady_clock::now();
   barrier_seconds_ += seconds_between(barrier_start, barrier_end);
 
-  const std::size_t shards = resolve_shards();
-  shard_wall_.assign(shards, 0.0);
-  // Shard s owns swarms {k : k % shards == s}, run in ascending k —
-  // the deterministic key. Each task touches only its own slots
-  // (swarm + driver + rng) and its own shard_wall_ entry.
-  sim::parallel_for(shards, shards, [this, shards](std::size_t s) {
-    const auto shard_start = std::chrono::steady_clock::now();
-    for (std::size_t k = s; k < swarms_.size(); k += shards) {
-      SwarmSlot& slot = *swarms_[k];
+  // Longest-first dynamic claiming (see the file comment). Each swarm's
+  // round touches only its own slot (swarm + driver + rng), so the
+  // schedule cannot change a result; each worker writes only its own
+  // shard_wall_ entry.
+  order_.resize(swarms_.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::stable_sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+    return swarms_[a]->swarm->live_peer_count() > swarms_[b]->swarm->live_peer_count();
+  });
+  const std::size_t workers = resolve_shards();
+  shard_wall_.assign(workers, 0.0);
+  std::atomic<std::size_t> next{0};
+  sim::parallel_for_chunks(workers, workers, 1, [&](std::size_t, std::size_t, std::size_t c) {
+    const auto worker_start = std::chrono::steady_clock::now();
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < order_.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      SwarmSlot& slot = *swarms_[order_[i]];
       slot.driver->before_round(*slot.swarm);
       slot.swarm->run_round();
     }
-    shard_wall_[s] = seconds_between(shard_start, std::chrono::steady_clock::now());
+    shard_wall_[c] = seconds_between(worker_start, std::chrono::steady_clock::now());
   });
   const auto [mn, mx] = std::minmax_element(shard_wall_.begin(), shard_wall_.end());
   shard_seconds_ += *mx;

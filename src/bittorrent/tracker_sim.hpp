@@ -5,8 +5,8 @@
 // lockstep rounds. Each round has two phases:
 //
 //  1. A serial barrier phase (the "tracker"): prune departed
-//     memberships from the global PeerRegistry, re-split multi-torrent
-//     peers' capacities across their surviving memberships, and admit
+//     memberships from the global PeerRegistry, re-split the capacities
+//     of multi-torrent peers that just lost a membership, and admit
 //     ecosystem-level arrivals — a single Poisson process whose
 //     arrivals pick swarms from a Zipf popularity distribution and
 //     whose per-arrival randomness (capacity draw, multi-torrent coin,
@@ -14,17 +14,20 @@
 //     key, global peer id, round), the PR-5 recipe lifted to ecosystem
 //     level: no arrival's draws depend on how many arrivals precede it
 //     in the same round.
-//  2. A sharded round phase: swarm k belongs to shard k % shards (a
-//     deterministic key, not a load balancer), and each shard runs its
-//     swarms' rounds in ascending k over sim::WorkerPool. Intra-swarm
-//     `threads` is forced to 1 under sharding so the pool is never
-//     oversubscribed: the parallel unit is the whole swarm round.
+//  2. A sharded round phase: `shards` workers on sim::WorkerPool claim
+//     swarms longest-first — the swarm list sorted by live peers
+//     descending (ties in ascending k), handed out one at a time from a
+//     shared atomic cursor — so the Zipf head starts first and the
+//     small tail fills the gaps. Intra-swarm `threads` is forced to 1
+//     under sharding so the pool is never oversubscribed: the parallel
+//     unit is the whole swarm round.
 //
 // Determinism contract, one level up from Swarm's: every swarm's round
 // touches only its own slot (swarm + driver + rng), every cross-swarm
-// decision happens in the serial barrier, and shard wall-times go to
-// per-shard slots — so results are bitwise identical at any `shards`
-// value, and a closed (no-churn) member swarm is bitwise identical to
+// decision happens in the serial barrier, and worker wall-times go to
+// per-worker slots — so which worker runs which swarm cannot change a
+// result: results are bitwise identical at any `shards` value, and a
+// closed (no-churn) member swarm is bitwise identical to
 // the same Swarm run standalone with Rng(seed + stride * (k+1)).
 // test_tracker_sim proves both differentials, at 10^3 swarms included.
 //
@@ -270,11 +273,13 @@ struct EcosystemReport {
 };
 
 /// Where the ecosystem's wall-clock went. `swarms` sums the member
-/// swarms' own phase profiles (CPU work, additive across shards);
-/// the shard_* fields describe the fan-out itself: shard_seconds is
-/// the critical path (sum over rounds of the slowest shard's wall) and
-/// shard_imbalance_seconds the sum of (max - min) shard wall per round
-/// — the headroom a better shard key could still reclaim.
+/// swarms' own phase profiles (CPU work, additive across workers);
+/// the shard_* fields describe the fan-out itself, one wall per shard
+/// worker per round: shard_seconds is the critical path (sum over
+/// rounds of the slowest worker's wall) and shard_imbalance_seconds the
+/// sum of (max - min) worker wall per round — under greedy claiming,
+/// bounded by the last swarm the slowest worker claimed plus pool
+/// wake-up latency.
 struct EcosystemProfile {
   Swarm::PhaseProfile swarms;
   double barrier_seconds = 0.0;
@@ -301,7 +306,8 @@ class TrackerSim {
   TrackerSim& operator=(TrackerSim&&) = default;
 
   /// One ecosystem round: serial barrier (registry prune, capacity
-  /// re-split, arrivals), then every member swarm's round, sharded.
+  /// re-split, arrivals), then every member swarm's round, claimed
+  /// longest-first by the shard workers.
   void run_round();
   void run(std::size_t rounds);
 
@@ -371,7 +377,7 @@ class TrackerSim {
   [[nodiscard]] std::uint32_t zipf_pick(graph::Rng& stream) const;
   [[nodiscard]] std::size_t resolve_shards() const;
   /// Barrier phase 1: drop departed memberships, compact the registry,
-  /// re-split surviving multi-torrent capacities.
+  /// re-split the capacities of records that lost a membership.
   void maintain_registry();
   /// Barrier phase 2: ecosystem Poisson arrivals.
   void admit_arrivals();
@@ -392,8 +398,11 @@ class TrackerSim {
   // strat-lint: not-serialized -- derived from cfg_ and swarm count,
   // rebuilt by build_zipf() on both construction paths.
   std::vector<double> zipf_cdf_;
+  // strat-lint: not-serialized -- per-round claim-order scratch: swarm
+  // indices sorted by live peers descending, rebuilt every round.
+  std::vector<std::size_t> order_;
   // strat-lint: not-serialized -- per-round wall-clock scratch, one slot
-  // per shard (each shard writes only its own).
+  // per shard worker (each worker writes only its own).
   std::vector<double> shard_wall_;
   // strat-lint: not-serialized -- profiling accumulators; like Swarm's
   // profile_, a resumed run restarts its timers at zero yet stays

@@ -7,11 +7,12 @@
 namespace strat::sim {
 
 namespace {
-// Set for the lifetime of every pool thread: a run() issued from inside
-// a task must execute inline instead of publishing a nested job (the
-// nested caller would participate in draining whatever job is current —
-// including its own parent's tasks — and could self-deadlock waiting
-// for a task stuck behind it).
+// Set for the lifetime of every pool thread, and on the caller while it
+// drains its own job: a run() issued from inside a task must execute
+// inline instead of publishing a nested job (the nested caller would
+// participate in draining whatever job is current — including its own
+// parent's tasks — and could self-deadlock waiting for a task stuck
+// behind it).
 thread_local bool tls_pool_worker = false;
 
 void run_inline(std::size_t tasks, const std::function<void(std::size_t)>& body) {
@@ -92,7 +93,11 @@ void WorkerPool::run(std::size_t tasks, std::size_t max_workers,
     ++generation_;
   }
   work_cv_.notify_all();
+  // work() never throws (task exceptions are captured), so the flag
+  // always resets.
+  tls_pool_worker = true;
   work(*job);
+  tls_pool_worker = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&] { return job->unfinished.load(std::memory_order_acquire) == 0; });

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <set>
 
 namespace strat::bt {
@@ -66,6 +69,35 @@ TEST(Bitfield, InterestedInSizeMismatchThrows) {
   const Bitfield a(4);
   const Bitfield b(5);
   EXPECT_THROW((void)a.interested_in(b), std::invalid_argument);
+}
+
+TEST(Bitfield, BernoulliMatchesPerPieceLoopAndRngState) {
+  // The word-at-a-time fill must reproduce the per-piece
+  // rng.bernoulli(p) + set() loop bit for bit and leave the generator
+  // in the same state: ragged and empty tails, and the p extremes
+  // (0, the smallest subnormal, the largest double below 1, 1) where
+  // the scaled threshold comparison could first go wrong.
+  for (const std::size_t bits : {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                 std::size_t{65}, std::size_t{1029}}) {
+    for (const double p : {0.0, 4.9e-324, 0.25, 0.5, std::nextafter(1.0, 0.0), 1.0}) {
+      graph::Rng fast(7 + bits);
+      graph::Rng slow(7 + bits);
+      const Bitfield got = Bitfield::bernoulli(bits, p, fast);
+      Bitfield want(bits);
+      for (PieceId t = 0; t < bits; ++t) {
+        if (slow.bernoulli(p)) want.set(t);
+      }
+      ASSERT_EQ(got.size(), bits);
+      EXPECT_EQ(got.count(), want.count()) << "bits " << bits << " p " << p;
+      EXPECT_TRUE(std::equal(got.words().begin(), got.words().end(), want.words().begin(),
+                             want.words().end()))
+          << "bits " << bits << " p " << p;
+      const graph::Rng::State a = fast.state();
+      const graph::Rng::State b = slow.state();
+      for (int w = 0; w < 4; ++w) EXPECT_EQ(a.s[w], b.s[w]) << "bits " << bits << " p " << p;
+      EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+    }
+  }
 }
 
 TEST(PiecePicker, AvailabilityBookkeeping) {

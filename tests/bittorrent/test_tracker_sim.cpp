@@ -133,6 +133,31 @@ TEST(TrackerSim, ThousandSwarmRunIsShardInvariant) {
   }
 }
 
+TEST(TrackerSim, SkewedLongestFirstScheduleIsShardInvariant) {
+  // Heavy Zipf skew makes live populations — the claim order — very
+  // uneven and reshuffles it every round, and odd worker counts make
+  // longest-first claiming differ most from a fixed k % shards split;
+  // save() bytes must still not depend on the worker count.
+  const auto build = [](std::size_t shards) {
+    TrackerConfig cfg = churned_config(shards);
+    cfg.arrival_rate = 40.0;
+    cfg.zipf_exponent = 2.0;
+    cfg.multi_torrent_fraction = 0.5;
+    return TrackerSim(cfg, disjoint_seeds(200, 8),
+                      BandwidthModel::saroiu2002().representative_sample(1600), 77);
+  };
+  const std::string reference = [&] {
+    TrackerSim t = build(1);
+    t.run(8);
+    return save_bytes(t);
+  }();
+  for (const std::size_t shards : {std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+    TrackerSim t = build(shards);
+    t.run(8);
+    EXPECT_EQ(save_bytes(t), reference) << "shards=" << shards;
+  }
+}
+
 TEST(TrackerSim, ClosedMemberSwarmsMatchStandaloneRuns) {
   // With no ecosystem churn, member swarm k must reproduce — bitwise,
   // by snapshot bytes — a standalone Swarm run from
