@@ -429,11 +429,10 @@ BENCHMARK(BM_TrackerSimShards)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The shards=1 overhead gate: the same closed (no arrivals, frozen
-// capacity split) 100-swarm workload through the tracker layer versus
-// a plain serial loop over standalone Swarm instances — exactly what
-// run_multi_swarm did before it became a TrackerSim shim. The
-// acceptance bar keeps BM_TrackerClosedRounds within 10% of
+// The shards=1 overhead gate: the same closed (no arrivals, disjoint
+// swarms, so no capacity is ever re-split) 100-swarm workload through
+// the tracker layer versus a plain serial loop over standalone Swarm
+// instances. The acceptance bar keeps BM_TrackerClosedRounds within 10% of
 // BM_SerialSwarmLoopRounds: the registry barrier and the inline
 // shards=1 fan-out must cost noise, not a tax, when the tracker adds
 // nothing.
@@ -443,7 +442,6 @@ void BM_TrackerClosedRounds(benchmark::State& state) {
   constexpr std::size_t kPeers = 16;
   bt::TrackerConfig cfg;
   cfg.shards = 1;
-  cfg.dynamic_capacity_split = false;
   const auto capacities =
       bt::BandwidthModel::saroiu2002().representative_sample(kSwarms * kPeers);
   bt::TrackerSim tracker(cfg, tracker_disjoint_seeds(kSwarms, kPeers), capacities, 42);

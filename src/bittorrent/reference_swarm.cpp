@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/erdos_renyi.hpp"
@@ -18,6 +19,11 @@ ReferenceSwarm::ReferenceSwarm(const SwarmConfig& config, std::vector<double> up
       leechers_(config.num_peers) {
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("ReferenceSwarm: one upload capacity per leecher required");
+  }
+  for (const double kbps : upload_kbps) {
+    if (!(kbps > 0.0)) {
+      throw std::invalid_argument("ReferenceSwarm: upload capacities must be positive");
+    }
   }
   validate(config);
   if (!config.retain_departed) {
@@ -95,45 +101,39 @@ std::size_t ReferenceSwarm::target_degree() const {
   return static_cast<std::size_t>(std::llround(config_.neighbor_degree));
 }
 
-std::size_t ReferenceSwarm::connect_random_live(core::PeerId p, std::size_t need) {
-  const std::size_t made = detail::announce_connect(
-      table_.ids(), p, need, rng_,
-      [&](core::PeerId q) { return overlay_.has_edge(p, q); },
-      [&](core::PeerId q) { overlay_.add_edge(p, q); });
-  // finalize() re-sorts every adjacency list, not just the touched
-  // rows — O(|V|) per join/re-announce. Acceptable at the oracle scale
-  // this plane runs at; the flat plane's sorted inserts are the fast
-  // path.
-  overlay_.finalize();
-  return made;
-}
-
-std::size_t ReferenceSwarm::announce_with_faults(core::PeerId p, std::size_t need) {
-  if (!config_.faults.flaky_connects()) return connect_random_live(p, need);
+std::size_t ReferenceSwarm::announce(core::PeerId p, std::size_t need) {
+  const bool flaky = config_.faults.flaky_connects();
   // Same trial stream as the flat plane: keyed by the per-peer announce
   // sequence number (id-indexed here, row-indexed there — same peer,
   // same count, same draws).
-  graph::Rng trials =
-      graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[p]++);
+  std::optional<graph::Rng> trials;
+  if (flaky) {
+    trials.emplace(
+        graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[p]++));
+  }
   const double fail_prob = config_.faults.connect_failure_prob;
   const std::size_t max_attempts = config_.faults.connect_attempts;
-  const std::size_t made = detail::announce_connect_faulty(
+  const std::size_t made = detail::announce_connect(
       table_.ids(), p, need, rng_,
       [&](core::PeerId q) { return overlay_.has_edge(p, q); },
       [&](core::PeerId q) {
-        if (!faults_.rejects_inbound(q)) return false;
+        if (!flaky || !faults_.rejects_inbound(q)) return false;
         ++faults_.nat_rejections_;
         return true;
       },
       [&](core::PeerId) {
         if (fail_prob <= 0.0) return true;
         for (std::size_t a = 0; a < max_attempts; ++a) {
-          if (!trials.bernoulli(fail_prob)) return true;
+          if (!trials->bernoulli(fail_prob)) return true;
         }
         ++faults_.connect_failures_;
         return false;
       },
       [&](core::PeerId q) { overlay_.add_edge(p, q); });
+  // finalize() re-sorts every adjacency list, not just the touched
+  // rows — O(|V|) per join/re-announce. Acceptable at the oracle scale
+  // this plane runs at; the flat plane's sorted inserts are the fast
+  // path.
   overlay_.finalize();
   return made;
 }
@@ -155,7 +155,7 @@ void ReferenceSwarm::fault_step() {
     }
     faults_.reset_retry(p);
     if (overlay_.degree(p) < target) {
-      announce_with_faults(p, target - overlay_.degree(p));
+      announce(p, target - overlay_.degree(p));
     }
   }
 }
@@ -164,7 +164,7 @@ core::PeerId ReferenceSwarm::join(double upload_kbps, const Bitfield& have) {
   if (have.size() != config_.num_pieces) {
     throw std::invalid_argument("ReferenceSwarm::join: bitfield size mismatch");
   }
-  if (upload_kbps <= 0.0) {
+  if (!(upload_kbps > 0.0)) {
     throw std::invalid_argument("ReferenceSwarm::join: capacity must be positive");
   }
   const core::PeerId p = overlay_.grow(1);
@@ -193,7 +193,7 @@ core::PeerId ReferenceSwarm::join(double upload_kbps, const Bitfield& have) {
     // neighbors and retries on backoff, like the flat plane.
     faults_.fail_announce(p, round_, config_.faults);
   } else {
-    announce_with_faults(p, target_degree());
+    announce(p, target_degree());
   }
   ++leechers_;
   ranks_dirty_ = true;
@@ -224,7 +224,7 @@ std::size_t ReferenceSwarm::reannounce(core::PeerId p) {
   }
   const std::size_t target = target_degree();
   if (overlay_.degree(p) >= target) return 0;
-  return announce_with_faults(p, target - overlay_.degree(p));
+  return announce(p, target - overlay_.degree(p));
 }
 
 void ReferenceSwarm::set_upload_capacity(core::PeerId p, double kbps) {

@@ -118,11 +118,10 @@ class ReferenceSwarm {
   void depart_peer(core::PeerId p, double when);
   [[nodiscard]] bool wants_from(core::PeerId receiver, core::PeerId sender) const;
   [[nodiscard]] std::size_t target_degree() const;
-  std::size_t connect_random_live(core::PeerId p, std::size_t need);
-  /// Faulted announce, mirroring Swarm::announce_with_faults (same
-  /// shared detail::announce_connect_faulty algorithm, same trial
-  /// stream keyed by the per-peer announce sequence number).
-  std::size_t announce_with_faults(core::PeerId p, std::size_t need);
+  /// The tracker announce, mirroring Swarm::announce (same shared
+  /// detail::announce_connect algorithm, same trial stream keyed by the
+  /// per-peer announce sequence number when connect faults are on).
+  std::size_t announce(core::PeerId p, std::size_t need);
   /// Serial backoff sweep at the top of run_round, mirroring
   /// Swarm::fault_step over the identical table-row order.
   void fault_step();

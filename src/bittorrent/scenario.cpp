@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "bittorrent/tracker_sim.hpp"
 #include "sim/parallel.hpp"
 
 namespace strat::bt {
@@ -123,8 +122,12 @@ std::vector<ScenarioResult> run_replications(const SwarmScenario& scenario,
                                              std::span<const std::uint64_t> seeds,
                                              std::size_t threads) {
   std::vector<ScenarioResult> results(seeds.size());
-  sim::parallel_for(seeds.size(), threads,
-                    [&](std::size_t i) { results[i] = run_scenario(scenario, seeds[i]); });
+  sim::parallel_for_chunks(seeds.size(), threads, 1,
+                           [&](std::size_t begin, std::size_t end, std::size_t) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               results[i] = run_scenario(scenario, seeds[i]);
+                             }
+                           });
   return results;
 }
 
@@ -155,97 +158,6 @@ std::vector<std::size_t> capacity_scaled_slots(const std::vector<double>& upload
                         std::llround(t * static_cast<double>(hi - lo)));
   }
   return slots;
-}
-
-std::size_t distinct_peer_count(const MultiSwarmSpec& spec) {
-  if (spec.num_swarms == 0 || spec.peers_per_swarm < 2) {
-    throw std::invalid_argument("MultiSwarmSpec: need >= 1 swarm of >= 2 peers");
-  }
-  if (spec.overlap_fraction < 0.0 || spec.overlap_fraction >= 1.0) {
-    throw std::invalid_argument("MultiSwarmSpec: overlap_fraction in [0, 1)");
-  }
-  const auto overlap = static_cast<std::size_t>(spec.overlap_fraction *
-                                                static_cast<double>(spec.peers_per_swarm));
-  const std::size_t stride = spec.peers_per_swarm - overlap;
-  return (spec.num_swarms - 1) * stride + spec.peers_per_swarm;
-}
-
-MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
-                                 std::size_t threads) {
-  if (!spec.config.retain_departed) {
-    throw std::invalid_argument(
-        "run_multi_swarm: retain_departed=false is unsupported (summaries cover departed peers)");
-  }
-  const std::size_t distinct = distinct_peer_count(spec);
-  if (spec.upload_kbps.size() != distinct) {
-    throw std::invalid_argument("MultiSwarmSpec: one capacity per distinct peer required");
-  }
-  const auto overlap = static_cast<std::size_t>(spec.overlap_fraction *
-                                                static_cast<double>(spec.peers_per_swarm));
-  const std::size_t stride = spec.peers_per_swarm - overlap;
-
-  // Membership count per distinct peer: swarm k covers global ids
-  // [k*stride, k*stride + peers_per_swarm).
-  std::vector<std::size_t> memberships(distinct, 0);
-  for (std::size_t k = 0; k < spec.num_swarms; ++k) {
-    for (std::size_t local = 0; local < spec.peers_per_swarm; ++local) {
-      ++memberships[k * stride + local];
-    }
-  }
-
-  // Thin shim over the tracker layer: the overlap layout becomes the
-  // seed list of a closed (no arrivals) TrackerSim, `threads` becomes
-  // the shard count, and the construction-time capacity split is
-  // frozen — the historical semantics. Per-swarm Rng seeding
-  // (seed + stride * (k+1)) is identical, so a member swarm still
-  // reproduces the same run a standalone Swarm would.
-  std::vector<TrackerSwarmSeed> seeds(spec.num_swarms);
-  for (std::size_t k = 0; k < spec.num_swarms; ++k) {
-    seeds[k].config = spec.config;
-    seeds[k].members.resize(spec.peers_per_swarm);
-    for (std::size_t local = 0; local < spec.peers_per_swarm; ++local) {
-      seeds[k].members[local] = static_cast<core::PeerId>(k * stride + local);
-    }
-  }
-  TrackerConfig tcfg;
-  tcfg.shards = threads == 0 ? 1 : threads;
-  tcfg.dynamic_capacity_split = false;
-  TrackerSim tracker(tcfg, std::move(seeds), spec.upload_kbps, seed);
-  tracker.run(spec.warmup_rounds);
-  tracker.reset_stratification();
-  tracker.run(spec.measure_rounds);
-
-  MultiSwarmResult out;
-  out.per_swarm.resize(spec.num_swarms);
-  // Aggregate leech rate per distinct peer, summed over member swarms.
-  std::vector<double> total_rate(distinct, 0.0);
-  for (std::size_t k = 0; k < spec.num_swarms; ++k) {
-    const Swarm& swarm = tracker.swarm(k);
-    out.per_swarm[k] = summarize(swarm, seed + kTrackerSwarmSeedStride * (k + 1));
-    for (std::size_t local = 0; local < spec.peers_per_swarm; ++local) {
-      total_rate[k * stride + local] +=
-          swarm.leech_download_kbps(static_cast<core::PeerId>(local));
-    }
-  }
-  double single_sum = 0.0;
-  double multi_sum = 0.0;
-  for (std::size_t i = 0; i < distinct; ++i) {
-    // Per-membership mean: each swarm carries distinct content, so the
-    // comparable figure is the rate achieved inside one swarm.
-    const double per_swarm_rate = total_rate[i] / static_cast<double>(memberships[i]);
-    if (memberships[i] <= 1) {
-      ++out.single_home_peers;
-      single_sum += per_swarm_rate;
-    } else {
-      ++out.multi_home_peers;
-      multi_sum += per_swarm_rate;
-    }
-  }
-  out.mean_single_home_kbps =
-      out.single_home_peers == 0 ? 0.0 : single_sum / static_cast<double>(out.single_home_peers);
-  out.mean_multi_home_kbps =
-      out.multi_home_peers == 0 ? 0.0 : multi_sum / static_cast<double>(out.multi_home_peers);
-  return out;
 }
 
 }  // namespace strat::bt

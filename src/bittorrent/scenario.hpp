@@ -5,9 +5,9 @@
 // run_scenario() executes one seeded run and distills the aggregates
 // the §6 validation cares about (completion, leech-phase rates by
 // capacity decile, stratification, availability dispersion).
-// run_replications() fans independent seeds out over a thread pool
-// (sim::parallel_for) — results are deterministic per seed regardless
-// of the thread count.
+// run_replications() fans independent seeds out over the worker pool
+// (sim::parallel_for_chunks) — results are deterministic per seed
+// regardless of the thread count.
 //
 // ChurnSpec + ChurnDriver turn the closed swarm into an open system:
 // they mirror core/churn.hpp's replacement/removal/arrival event
@@ -18,13 +18,8 @@
 // tracker re-announce sweep tops degrees back up as departures thin
 // the overlay. The driver is a template over the data plane so the
 // Swarm-vs-ReferenceSwarm differential tests replay identical churn
-// schedules through both.
-//
-// On top of single swarms, MultiSwarmSpec models peers split across
-// several overlapping swarms: a peer in k swarms divides its upload
-// capacity k ways, so multi-homed peers rank lower *within* each swarm
-// — the stratification penalty of divided attention, a scenario the
-// paper's single-swarm model cannot express directly.
+// schedules through both. Several swarms sharing peers are TrackerSim's
+// job (tracker_sim.hpp).
 #pragma once
 
 #include <algorithm>
@@ -388,45 +383,5 @@ struct ScenarioResult {
 /// Requires lo >= 1, lo <= hi, and positive capacities.
 [[nodiscard]] std::vector<std::size_t> capacity_scaled_slots(const std::vector<double>& upload_kbps,
                                                              std::size_t lo, std::size_t hi);
-
-/// Peers spread across `num_swarms` overlapping swarms.
-struct MultiSwarmSpec {
-  std::size_t num_swarms = 2;
-  std::size_t peers_per_swarm = 80;
-  /// Fraction of each swarm's leechers shared with the next swarm
-  /// (in [0, 1); consecutive swarms overlap on that many peers).
-  double overlap_fraction = 0.2;
-  /// Per-swarm config; num_peers is overridden with peers_per_swarm.
-  SwarmConfig config;
-  /// One capacity per *distinct* peer (distinct_peer_count entries).
-  std::vector<double> upload_kbps;
-  std::size_t warmup_rounds = 20;
-  std::size_t measure_rounds = 40;
-};
-
-/// Number of distinct peers implied by the overlap layout.
-[[nodiscard]] std::size_t distinct_peer_count(const MultiSwarmSpec& spec);
-
-/// Multi-swarm aggregates: per-swarm results plus the single- vs
-/// multi-homed comparison. Rates are *per swarm membership* (a peer in
-/// two swarms contributes the average of its two in-swarm rates), so a
-/// ratio below 1 is the stratification penalty of divided capacity —
-/// each swarm downloads distinct content, so summing would compare
-/// different workloads.
-struct MultiSwarmResult {
-  std::vector<ScenarioResult> per_swarm;
-  std::size_t single_home_peers = 0;
-  std::size_t multi_home_peers = 0;
-  double mean_single_home_kbps = 0.0;  // mean in-swarm leech rate, 1 swarm
-  double mean_multi_home_kbps = 0.0;   // mean in-swarm leech rate, 2+ swarms
-};
-
-/// Runs every member swarm. A thin shim over TrackerSim
-/// (tracker_sim.hpp) since the tracker layer landed: `threads` maps to
-/// TrackerConfig::shards and the capacity split is frozen at
-/// construction (the historical semantics). Deterministic at any
-/// thread count, bitwise.
-[[nodiscard]] MultiSwarmResult run_multi_swarm(const MultiSwarmSpec& spec, std::uint64_t seed,
-                                               std::size_t threads = 1);
 
 }  // namespace strat::bt

@@ -484,6 +484,9 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
         }
         if (s.retired_ix_[id] != kNoRetired) throw SnapshotError("snapshot: duplicate retired id");
         s.retired_ix_[id] = static_cast<std::uint32_t>(i);
+        if (!(s.retired_stats_[i].upload_kbps > 0.0)) {
+          throw SnapshotError("snapshot: retired upload capacity not positive");
+        }
       }
     } else if (!x.retired_order.empty() || !s.retired_mutual_.empty()) {
       throw SnapshotError("snapshot: retired records present with retain_departed off");
@@ -542,6 +545,9 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
       }
       if (s.stats_[row].pieces != s.have_[row].count()) {
         throw SnapshotError("snapshot: piece counter disagrees with bitfield");
+      }
+      if (!(s.stats_[row].upload_kbps > 0.0)) {
+        throw SnapshotError("snapshot: live upload capacity not positive");
       }
       for (const core::PeerId q : s.unchoked_[row]) {
         if (q >= id_space) throw SnapshotError("snapshot: unchoke target out of range");

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 
@@ -37,6 +38,11 @@ void validate(const SwarmConfig& config) {
   if (!(config.initial_completion >= 0.0 && config.initial_completion < 1.0)) {
     throw std::invalid_argument("SwarmConfig: initial_completion in [0, 1)");
   }
+  if (std::isnan(config.seed_upload_kbps)) {
+    // <= 0 selects the median leecher capacity; NaN would slip past
+    // that test and seed the swarm with a NaN capacity.
+    throw std::invalid_argument("SwarmConfig: seed_upload_kbps must not be NaN");
+  }
   if (!config.tft_slots_per_peer.empty() &&
       config.tft_slots_per_peer.size() != config.num_peers) {
     throw std::invalid_argument("SwarmConfig: tft_slots_per_peer needs one entry per leecher");
@@ -63,6 +69,11 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       leechers_(config.num_peers) {
   if (upload_kbps.size() != config.num_peers) {
     throw std::invalid_argument("Swarm: one upload capacity per leecher required");
+  }
+  // !(> 0) also rejects NaN, which would break the strict weak ordering
+  // of the seed-median and capacity-rank sorts.
+  for (const double kbps : upload_kbps) {
+    if (!(kbps > 0.0)) throw std::invalid_argument("Swarm: upload capacities must be positive");
   }
   validate(config);
   // The per-peer choke streams are keyed off one structural draw, made
@@ -262,40 +273,33 @@ void Swarm::release_all_edges(core::PeerId p, Row pr) {
   nslot_[pr].clear();
 }
 
-std::size_t Swarm::connect_random_live(core::PeerId p, std::size_t need) {
+std::size_t Swarm::announce(core::PeerId p, std::size_t need) {
   const Row pr = table_.row_of(p);
+  const bool flaky = config_.faults.flaky_connects();
+  // One trial stream per faulted announce, keyed by the per-peer
+  // announce sequence number — the draws depend only on (peer, how many
+  // announces it made), never on threads or shard layout.
+  std::optional<graph::Rng> trials;
+  if (flaky) {
+    trials.emplace(
+        graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[pr]++));
+  }
+  const double fail_prob = config_.faults.connect_failure_prob;
+  const std::size_t max_attempts = config_.faults.connect_attempts;
   return detail::announce_connect(
       table_.ids(), p, need, rng_,
       [&](core::PeerId q) {
         return std::binary_search(nbr_[pr].begin(), nbr_[pr].end(), q);
       },
-      [&](core::PeerId q) { connect(p, q); });
-}
-
-std::size_t Swarm::announce_with_faults(core::PeerId p, std::size_t need) {
-  if (!config_.faults.flaky_connects()) return connect_random_live(p, need);
-  const Row pr = table_.row_of(p);
-  // One trial stream per announce operation, keyed by the per-peer
-  // announce sequence number — the draws depend only on (peer, how many
-  // announces it made), never on threads or shard layout.
-  graph::Rng trials =
-      graph::Rng::stream(choke_key_ ^ kFaultConnectSalt, p, faults_.announce_seq_[pr]++);
-  const double fail_prob = config_.faults.connect_failure_prob;
-  const std::size_t max_attempts = config_.faults.connect_attempts;
-  return detail::announce_connect_faulty(
-      table_.ids(), p, need, rng_,
       [&](core::PeerId q) {
-        return std::binary_search(nbr_[pr].begin(), nbr_[pr].end(), q);
-      },
-      [&](core::PeerId q) {
-        if (!faults_.rejects_inbound(table_.row_of(q))) return false;
+        if (!flaky || !faults_.rejects_inbound(table_.row_of(q))) return false;
         ++faults_.nat_rejections_;
         return true;
       },
       [&](core::PeerId) {
         if (fail_prob <= 0.0) return true;
         for (std::size_t a = 0; a < max_attempts; ++a) {
-          if (!trials.bernoulli(fail_prob)) return true;
+          if (!trials->bernoulli(fail_prob)) return true;
         }
         ++faults_.connect_failures_;
         return false;
@@ -321,7 +325,7 @@ void Swarm::fault_step() {
     }
     faults_.reset_retry(r);
     if (nbr_[r].size() < target) {
-      announce_with_faults(table_.id_at(r), target - nbr_[r].size());
+      announce(table_.id_at(r), target - nbr_[r].size());
     }
   }
 }
@@ -330,7 +334,9 @@ core::PeerId Swarm::join(double upload_kbps, const Bitfield& have) {
   if (have.size() != config_.num_pieces) {
     throw std::invalid_argument("Swarm::join: bitfield size mismatch");
   }
-  if (upload_kbps <= 0.0) throw std::invalid_argument("Swarm::join: capacity must be positive");
+  if (!(upload_kbps > 0.0)) {
+    throw std::invalid_argument("Swarm::join: capacity must be positive");
+  }
   const auto p = static_cast<core::PeerId>(table_.id_space());
   const Row r = table_.add(p);
   stats_.emplace_back();
@@ -354,7 +360,7 @@ core::PeerId Swarm::join(double upload_kbps, const Bitfield& have) {
     faults_.fail_announce(r, round_, config_.faults);
   } else {
     // Tracker announce: uniform picks from the live population.
-    announce_with_faults(p, target_degree());
+    announce(p, target_degree());
   }
   ++leechers_;
   ranks_dirty_ = true;
@@ -392,7 +398,7 @@ std::size_t Swarm::reannounce(core::PeerId p) {
   }
   const std::size_t target = target_degree();
   if (nbr_[pr].size() >= target) return 0;
-  return announce_with_faults(p, target - nbr_[pr].size());
+  return announce(p, target - nbr_[pr].size());
 }
 
 void Swarm::set_upload_capacity(core::PeerId p, double kbps) {

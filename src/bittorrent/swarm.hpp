@@ -154,9 +154,8 @@ struct SwarmConfig {
   /// aggregate counters only: per-departed-peer queries throw,
   /// stratification covers live pairs only, and total peer-state
   /// memory stays flat across unbounded cumulative arrivals (the
-  /// 10^6-arrival open-system regime). Flat-plane only: ReferenceSwarm
-  /// and the scenario summaries (run_scenario/run_multi_swarm) need
-  /// the archive and reject this flag.
+  /// 10^6-arrival open-system regime). Flat-plane only: ReferenceSwarm,
+  /// run_scenario and TrackerSim need the archive and reject this flag.
   bool retain_departed = true;
   /// Worker threads for the intra-round parallel phases (choke
   /// score/select, endgame unchoke counting, rate folding). Results
@@ -452,51 +451,23 @@ inline std::vector<core::PeerId> sample_without_replacement(std::vector<core::Pe
 /// Parameterized on the plane's edge test and connect primitive — one
 /// definition shared by both data planes so the accept/reject RNG
 /// draw sequence cannot drift. Returns the connections made.
-template <typename HasEdgeFn, typename ConnectFn>
-std::size_t announce_connect(std::span<const core::PeerId> live_ids, core::PeerId p,
-                             std::size_t need, graph::Rng& rng, HasEdgeFn&& has_edge,
-                             ConnectFn&& connect) {
-  std::size_t made = 0;
-  std::size_t attempts = 0;
-  const std::size_t cap = 8 * need + 64;
-  while (made < need && attempts < cap && live_ids.size() > 1) {
-    ++attempts;
-    const core::PeerId q = live_ids[static_cast<std::size_t>(rng.below(live_ids.size()))];
-    if (q == p || has_edge(q)) continue;
-    connect(q);
-    ++made;
-  }
-  if (made < need) {
-    std::vector<core::PeerId> candidates;
-    candidates.reserve(live_ids.size());
-    for (const core::PeerId q : live_ids) {
-      if (q == p || has_edge(q)) continue;
-      candidates.push_back(q);
-    }
-    const auto chosen = sample_without_replacement(candidates, need - made, rng);
-    for (const core::PeerId q : chosen) connect(q);
-    made += chosen.size();
-  }
-  return made;
-}
-
-/// announce_connect with connect-level faults: `rejects_inbound(q)`
+///
+/// Connect-level faults enter through two hooks: `rejects_inbound(q)`
 /// models a NAT-ed candidate (the dial is refused before any connect
 /// trial draws), `connect_ok(q)` runs the bounded connect-retry trials
-/// and reports whether the connection stuck. The same rejection-
-/// sampling structure and cap as the fault-free announce, so the
-/// structural draw sequence from `rng` is identical per candidate
-/// visited; fault draws come from the caller's counter-based trial
-/// stream inside `connect_ok`. The fallback exact scan excludes NAT-ed
-/// candidates before sampling (the dialer can never hold them), while
-/// a sampled candidate whose connect trials all fail is simply lost —
-/// the peer runs below target degree until a later re-announce tops it
-/// up. One definition shared by both data planes.
+/// and reports whether the connection stuck. Neither touches `rng`, so
+/// the structural draw sequence is identical per candidate visited;
+/// fault draws come from the caller's counter-based trial stream inside
+/// `connect_ok`. The fallback exact scan excludes NAT-ed candidates
+/// before sampling (the dialer can never hold them), while a sampled
+/// candidate whose connect trials all fail is simply lost — the peer
+/// runs below target degree until a later re-announce tops it up. With
+/// faults off the hooks are constant false / true.
 template <typename HasEdgeFn, typename RejectsFn, typename TrialFn, typename ConnectFn>
-std::size_t announce_connect_faulty(std::span<const core::PeerId> live_ids, core::PeerId p,
-                                    std::size_t need, graph::Rng& rng, HasEdgeFn&& has_edge,
-                                    RejectsFn&& rejects_inbound, TrialFn&& connect_ok,
-                                    ConnectFn&& connect) {
+std::size_t announce_connect(std::span<const core::PeerId> live_ids, core::PeerId p,
+                             std::size_t need, graph::Rng& rng, HasEdgeFn&& has_edge,
+                             RejectsFn&& rejects_inbound, TrialFn&& connect_ok,
+                             ConnectFn&& connect) {
   std::size_t made = 0;
   std::size_t attempts = 0;
   const std::size_t cap = 8 * need + 64;
@@ -953,14 +924,12 @@ class Swarm {
   /// Moves a live pair's mutual-unchoke count into the retired records
   /// (or drops it when retain_departed is off).
   void flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min);
-  /// Connects p to up to `need` distinct live non-neighbors chosen
-  /// uniformly (the tracker announce).
-  std::size_t connect_random_live(core::PeerId p, std::size_t need);
-  /// The announce every caller routes through: plain connect_random_live
-  /// when connect-level faults are off, announce_connect_faulty (NAT
-  /// rejections + bounded connect-retry trials from the per-announce
-  /// counter stream) when they're on.
-  std::size_t announce_with_faults(core::PeerId p, std::size_t need);
+  /// The tracker announce: connects p to up to `need` distinct live
+  /// non-neighbors chosen uniformly (detail::announce_connect). With
+  /// connect-level faults on, NAT rejections and bounded connect-retry
+  /// trials draw from a per-announce counter stream; with them off it
+  /// builds no stream and leaves the announce sequence untouched.
+  std::size_t announce(core::PeerId p, std::size_t need);
   /// Serial backoff sweep at the top of run_round: peers whose retry
   /// deadline arrived re-announce (or reschedule if the tracker is
   /// still down). No-op unless outages are configured.

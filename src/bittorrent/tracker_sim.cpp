@@ -198,7 +198,7 @@ void TrackerSim::maintain_registry() {
     const std::size_t m = rec.memberships.size();
     // Construction and admit_one() assign the m-way split, so only a
     // record that just lost a membership needs re-splitting.
-    if (cfg_.dynamic_capacity_split && m != 0 && m != before) {
+    if (m != 0 && m != before) {
       for (std::size_t j = 0; j < m; ++j) {
         const PeerRegistry::Membership& mem = rec.memberships[j];
         swarms_[mem.swarm]->swarm->set_upload_capacity(

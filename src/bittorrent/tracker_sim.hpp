@@ -34,10 +34,10 @@
 // Capacity-split semantics: a peer in m swarms brings
 // membership_capacity_share(kbps, m, j) to its j-th membership — every
 // membership gets kbps/m except the last, which absorbs the exact
-// remainder, so the shares always sum to kbps bit-exactly. When
-// dynamic_capacity_split is on, the barrier re-splits after each
-// departure, so a multi-torrent peer whose other swarm ends regains
-// its full capacity the next round.
+// remainder, so the shares always sum to kbps bit-exactly. The barrier
+// re-splits after each departure, so a multi-torrent peer whose other
+// swarm ends regains its full capacity the next round; a closed layout
+// never loses a membership and keeps its construction-time split.
 //
 // Scale: memory is O(live) end to end — PeerTable per swarm, a pruned
 // registry at the tracker — so 10^3 swarms / 10^5..10^6 cumulative
@@ -74,9 +74,8 @@ using GlobalPeerId = core::PeerId;
 inline constexpr std::uint64_t kTrackerMagic = 0x535452415454524BULL;
 
 /// Seed offset per member swarm (SplitMix64 increment): member swarm k
-/// draws from Rng(seed + kTrackerSwarmSeedStride * (k+1)) — the same
-/// derivation run_multi_swarm() has always used, which is what makes
-/// the standalone-Swarm differential possible.
+/// draws from Rng(seed + kTrackerSwarmSeedStride * (k+1)), which is
+/// what makes the standalone-Swarm differential possible.
 inline constexpr std::uint64_t kTrackerSwarmSeedStride = 0x9E3779B97F4A7C15ULL;
 
 /// Share of a peer's capacity its j-th of m memberships receives:
@@ -135,12 +134,6 @@ struct TrackerConfig {
   /// bitfields for injected arrivals). Its arrival and replacement
   /// processes must be off — the tracker owns arrivals.
   ChurnSpec swarm_churn;
-
-  /// Re-split multi-torrent capacities every round as memberships
-  /// depart (the open-system default). false freezes the
-  /// construction-time split — the historical run_multi_swarm
-  /// semantics the shim relies on.
-  bool dynamic_capacity_split = true;
 };
 
 /// Global peer directory: ecosystem id -> capacity + per-swarm

@@ -12,16 +12,6 @@ std::size_t recommended_threads() noexcept {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& body) {
-  threads = std::min(threads, count);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  WorkerPool::shared().run(count, threads, body);
-}
-
 std::size_t chunk_count(std::size_t count, std::size_t threads,
                         std::size_t min_per_chunk) noexcept {
   if (count == 0 || threads <= 1) return count == 0 ? 0 : 1;

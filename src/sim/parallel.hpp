@@ -1,24 +1,19 @@
-// Minimal parallel loops over a persistent worker pool.
+// Minimal parallel loop over a persistent worker pool.
 //
-// Scenario sweeps and Monte-Carlo replications are embarrassingly
-// parallel: every index gets its own Rng seeded independently, and
-// results are written to per-index slots. parallel_for() distributes
-// indices over up to `threads` workers of the process-wide
-// sim::WorkerPool via an atomic counter, so the *schedule* is
-// nondeterministic but the per-index results are not: running with 1
-// thread or N threads produces identical output.
+// parallel_for_chunks() splits a dense index range into at most
+// `threads` contiguous chunks (each at least `min_per_chunk` wide, so
+// tiny ranges run inline instead of paying a pool wakeup) and hands
+// each worker a [begin, end) range plus a stable chunk id it can key
+// per-worker scratch buffers by. Every parallel loop of the swarm
+// simulator goes through it, so strat-lint's lambda checks (R2/R5) see
+// them all: scenario replications write per-index result slots from
+// independently seeded Rngs; the swarm round phases are pure
+// (fold_rates), draw from per-peer counter-based RNG streams
+// (choke_step) or write only per-chunk plan buffers (transfer
+// compute); TrackerSim's shard workers claim whole swarms from a
+// shared cursor. Results stay bitwise identical at any thread count.
 //
-// parallel_for_chunks() is the intra-round variant: it splits a dense
-// index range into at most `threads` contiguous chunks (each at least
-// `min_per_chunk` wide, so tiny ranges run inline instead of paying a
-// pool wakeup) and hands each worker a [begin, end) range plus a
-// stable chunk id it can key per-worker scratch buffers by. The swarm
-// round phases fan over this; their per-index work is either pure
-// (fold_rates), draws from per-peer counter-based RNG streams
-// (choke_step), or writes only per-chunk plan buffers (transfer
-// compute), so results stay bitwise identical at any thread count.
-//
-// Both loops share WorkerPool::shared() (see worker_pool.hpp): threads
+// The loop runs on WorkerPool::shared() (see worker_pool.hpp): threads
 // are spawned once, on demand, and reused across every phase of every
 // round instead of being spawned per call. Nested calls (a parallel
 // loop issued from inside a pool task) degrade to inline execution.
@@ -32,14 +27,6 @@ namespace strat::sim {
 /// Worker count to use by default: std::thread::hardware_concurrency(),
 /// with a floor of 1 when the runtime reports 0.
 [[nodiscard]] std::size_t recommended_threads() noexcept;
-
-/// Invokes body(i) for every i in [0, count), distributed over up to
-/// `threads` worker threads (capped at `count`; <= 1 runs inline, in
-/// order). body must be safe to call concurrently for distinct indices.
-/// The first exception thrown by any invocation is rethrown on the
-/// calling thread after all workers join.
-void parallel_for(std::size_t count, std::size_t threads,
-                  const std::function<void(std::size_t)>& body);
 
 /// Number of contiguous chunks parallel_for_chunks() will use for the
 /// same arguments: min(threads, count / min_per_chunk), floored at 1.

@@ -1,8 +1,8 @@
-// Persistent fork-join worker pool behind the parallel loops.
+// Persistent fork-join worker pool behind the parallel loop.
 //
-// parallel_for()/parallel_for_chunks() used to spawn fresh std::threads
-// on every call — measurable once a swarm round fans out four-plus
-// phases (choke, endgame count, transfer compute, fold) at 10^5 peers.
+// parallel_for_chunks() used to spawn fresh std::threads on every
+// call — measurable once a swarm round fans out four-plus phases
+// (choke, endgame count, transfer compute, fold) at 10^5 peers.
 // WorkerPool keeps the threads alive across calls: run() publishes a
 // job (a task count plus a body), wakes the sleeping workers, joins in
 // itself, and blocks until every task has executed. Workers claim task
@@ -59,7 +59,7 @@ class WorkerPool {
   /// Threads currently alive in this pool.
   [[nodiscard]] std::size_t spawned() const;
 
-  /// The process-wide pool parallel_for()/parallel_for_chunks() share.
+  /// The process-wide pool parallel_for_chunks() runs on.
   [[nodiscard]] static WorkerPool& shared();
 
  private:

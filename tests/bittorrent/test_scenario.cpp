@@ -1,6 +1,6 @@
 // Scenario-engine tests: parallel replications must equal serial ones
-// bit for bit, the heterogeneous-slot helper must stay in bounds and
-// monotone, and the multi-swarm layout must account for every peer.
+// bit for bit, and the heterogeneous-slot helper must stay in bounds and
+// monotone.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -104,40 +104,6 @@ TEST(Scenario, HeterogeneousSlotsRunEndToEnd) {
   // Mismatched slot vector is rejected.
   scenario.config.tft_slots_per_peer.pop_back();
   EXPECT_THROW((void)run_scenario(scenario, 11), std::invalid_argument);
-}
-
-TEST(Scenario, MultiSwarmLayoutAccounting) {
-  MultiSwarmSpec spec;
-  spec.num_swarms = 3;
-  spec.peers_per_swarm = 20;
-  spec.overlap_fraction = 0.25;  // 5 shared between consecutive swarms
-  EXPECT_EQ(distinct_peer_count(spec), 20u + 15u + 15u);
-  spec.config.num_pieces = 64;
-  spec.config.piece_kb = 32.0;
-  spec.config.neighbor_degree = 8.0;
-  spec.config.initial_completion = 0.5;
-  spec.upload_kbps = BandwidthModel::saroiu2002().representative_sample(50);
-  spec.warmup_rounds = 3;
-  spec.measure_rounds = 10;
-
-  const auto serial = run_multi_swarm(spec, 17, 1);
-  ASSERT_EQ(serial.per_swarm.size(), 3u);
-  EXPECT_EQ(serial.single_home_peers + serial.multi_home_peers, 50u);
-  EXPECT_EQ(serial.multi_home_peers, 10u);  // two 5-peer overlaps
-  for (const auto& swarm : serial.per_swarm) {
-    EXPECT_GT(swarm.total_uploaded_kb, 0.0);
-    EXPECT_NEAR(swarm.total_uploaded_kb, swarm.total_downloaded_kb, 1e-6);
-  }
-
-  // Thread count must not change results.
-  const auto parallel = run_multi_swarm(spec, 17, 3);
-  EXPECT_EQ(serial.mean_single_home_kbps, parallel.mean_single_home_kbps);
-  EXPECT_EQ(serial.mean_multi_home_kbps, parallel.mean_multi_home_kbps);
-  for (std::size_t k = 0; k < 3; ++k) expect_same(serial.per_swarm[k], parallel.per_swarm[k]);
-
-  // Capacity mismatch is rejected.
-  spec.upload_kbps.pop_back();
-  EXPECT_THROW((void)run_multi_swarm(spec, 17, 1), std::invalid_argument);
 }
 
 TEST(Scenario, ChurnDriverDeadlinesStayLiveSized) {

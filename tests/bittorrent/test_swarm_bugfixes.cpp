@@ -1,9 +1,15 @@
 // Regression tests for the swarm state bugs fixed alongside the CSR
 // data-plane rewrite: departed leechers leaking piece availability,
 // construction-complete leechers never departing, and upload budget
-// stranded mid-round being discarded instead of redistributed.
+// stranded mid-round being discarded instead of redistributed — plus
+// capacity validation on both data planes.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
+#include "bittorrent/reference_swarm.hpp"
 #include "bittorrent/swarm.hpp"
 
 namespace strat::bt {
@@ -94,7 +100,8 @@ TEST(SwarmBugfixes, ConstructionCompleteLeecherIsConsistent) {
 
 TEST(SwarmBugfixes, StrandedBudgetRedistributedWithinRound) {
   // One seed (24 kbps -> 30 KB per round), a relaying leecher A (fast)
-  // and a capacity-less leecher B on a complete 3-vertex overlay. B
+  // and a near-capacity-less leecher B (capacities must be positive) on
+  // a complete 3-vertex overlay. B
   // receives from both the seed and A, so it finishes first; in B's
   // completion round its leftover share must flow to A. Pre-fix the
   // seed silently discarded it, shipping less than its budget while A
@@ -108,7 +115,7 @@ TEST(SwarmBugfixes, StrandedBudgetRedistributedWithinRound) {
   cfg.neighbor_degree = 2.0;  // p = d/(n-1) = 1: deterministic complete overlay
   cfg.post_flashcrowd = false;
   cfg.seed_upload_kbps = 24.0;
-  Swarm swarm(cfg, {80.0, 0.0}, rng);
+  Swarm swarm(cfg, {80.0, 1e-6}, rng);
   const double budget_kb = cfg.seed_upload_kbps / 8.0 * cfg.round_seconds;
   const core::PeerId seed_id = 2;
   double prev_uploaded = 0.0;
@@ -131,6 +138,37 @@ TEST(SwarmBugfixes, StrandedBudgetRedistributedWithinRound) {
   EXPECT_TRUE(saw_partial_completion_round);
   // B (fed by seed + relay) finishes before A (fed by seed only).
   EXPECT_LT(swarm.stats(1).completion_round, swarm.stats(0).completion_round);
+}
+
+TEST(SwarmBugfixes, NonPositiveCapacitiesAreRejected) {
+  // Zero, negative and NaN capacities used to be accepted; a NaN then
+  // reached the seed-median and capacity-rank sorts, breaking their
+  // strict weak ordering.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  SwarmConfig cfg;
+  cfg.num_peers = 6;
+  cfg.num_pieces = 16;
+  cfg.neighbor_degree = 3.0;
+  for (const double bad : {0.0, -1.0, kNaN}) {
+    std::vector<double> caps = bandwidths(cfg.num_peers);
+    caps[2] = bad;
+    graph::Rng rng(5);
+    EXPECT_THROW(Swarm(cfg, caps, rng), std::invalid_argument) << bad;
+    graph::Rng ref_rng(5);
+    EXPECT_THROW(ReferenceSwarm(cfg, caps, ref_rng), std::invalid_argument) << bad;
+  }
+  graph::Rng rng(5);
+  Swarm swarm(cfg, bandwidths(cfg.num_peers), rng);
+  EXPECT_THROW((void)swarm.join(kNaN), std::invalid_argument);
+  EXPECT_EQ(swarm.peer_count(), cfg.num_peers + cfg.seeds);
+  graph::Rng ref_rng(5);
+  ReferenceSwarm reference(cfg, bandwidths(cfg.num_peers), ref_rng);
+  EXPECT_THROW((void)reference.join(kNaN), std::invalid_argument);
+  EXPECT_EQ(reference.peer_count(), cfg.num_peers + cfg.seeds);
+  // A NaN seed capacity slips past the `<= 0 selects the median` test.
+  cfg.seed_upload_kbps = kNaN;
+  EXPECT_THROW(Swarm(cfg, bandwidths(cfg.num_peers), rng), std::invalid_argument);
+  EXPECT_THROW(ReferenceSwarm(cfg, bandwidths(cfg.num_peers), ref_rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -163,10 +163,6 @@ TEST(SwarmLongChurn, RetainDepartedOffIsRejectedWhereArchivesAreRequired) {
   scenario.config = cfg;
   scenario.upload_kbps = bw;
   EXPECT_THROW((void)run_scenario(scenario, 3), std::invalid_argument);
-  MultiSwarmSpec spec;
-  spec.config = cfg;
-  spec.upload_kbps.assign(distinct_peer_count(spec), 400.0);
-  EXPECT_THROW((void)run_multi_swarm(spec, 3, 1), std::invalid_argument);
 }
 
 }  // namespace

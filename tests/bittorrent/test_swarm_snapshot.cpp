@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -540,6 +541,82 @@ TEST(SwarmSnapshot, ConstructorsRejectNaNPieceSize) {
   graph::Rng rng(kSeed);
   EXPECT_THROW(Swarm(cfg, capacities(8), rng), std::invalid_argument);
   EXPECT_THROW(ReferenceSwarm(cfg, capacities(8), rng), std::invalid_argument);
+}
+
+/// Inverse of snapshot_detail::mix64: each xor-shift and odd multiply
+/// of the SplitMix64 finalizer is a bijection on 64-bit words.
+std::uint64_t unmix64(std::uint64_t z) {
+  const auto inverse = [](std::uint64_t a) {
+    std::uint64_t x = a;  // Newton's iteration mod 2^64: 3 -> 96 correct bits
+    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+    return x;
+  };
+  z ^= (z >> 31) ^ (z >> 62);
+  z *= inverse(0x94D049BB133111EBULL);
+  z ^= (z >> 27) ^ (z >> 54);
+  z *= inverse(0xBF58476D1CE4E5B9ULL);
+  z ^= (z >> 30) ^ (z >> 60);
+  return z;
+}
+
+TEST(SwarmSnapshot, ResumeRejectsNonPositiveCapacity) {
+  // The running checksum folds one 8-byte lane per double
+  // (hash = hash * M + lane), so a lane k lanes before the footer
+  // weighs M^k. Two fresh swarms whose leecher-3 capacities are one
+  // ulp apart save streams that differ in exactly that lane, by
+  // exactly 1, and their unmixed footers differ by the weight itself.
+  // That re-seals a stream with the capacity patched to anything.
+  SwarmConfig cfg = base_config(8);
+  cfg.neighbor_degree = 4.0;
+  cfg.num_pieces = 16;
+  cfg.seed_upload_kbps = 500.0;  // seeds' capacity independent of leecher 3
+  std::vector<double> caps = capacities(8);
+  const auto fresh = [&](double kbps) {
+    caps[3] = kbps;
+    graph::Rng rng(kSeed);
+    Swarm swarm(cfg, caps, rng);
+    return save_to_string(swarm);
+  };
+  const double kbps = caps[3];
+  const std::string bytes = fresh(kbps);
+  const std::string next = fresh(std::nextafter(kbps, 2 * kbps));
+  ASSERT_EQ(bytes.size(), next.size());
+  std::string pattern(8, '\0');
+  std::memcpy(pattern.data(), &kbps, 8);
+  const std::size_t at = bytes.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t footer = bytes.size() - 8;
+  for (std::size_t i = 0; i < footer; ++i) {
+    if (i < at || i >= at + 8) {
+      ASSERT_EQ(bytes[i], next[i]) << "byte " << i;
+    }
+  }
+  const auto unmixed = [&](const std::string& b) {
+    std::uint64_t f = 0;
+    std::memcpy(&f, b.data() + footer, 8);
+    return unmix64(f);
+  };
+  const std::uint64_t weight = unmixed(next) - unmixed(bytes);
+  const auto reseal = [&](double value) {
+    std::uint64_t old_lane = 0;
+    std::uint64_t new_lane = 0;
+    std::memcpy(&old_lane, &kbps, 8);
+    std::memcpy(&new_lane, &value, 8);
+    std::string b = bytes;
+    patch(b, at, value);
+    patch(b, footer, snapshot_detail::mix64(unmixed(bytes) + (new_lane - old_lane) * weight));
+    return b;
+  };
+  // The re-seal is sound: a positive patched capacity loads and reads back.
+  {
+    const ResumedSwarm resumed = resume_from_string(reseal(2 * kbps));
+    EXPECT_EQ(resumed.swarm().stats(3).upload_kbps, 2 * kbps);
+  }
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const std::string error = resume_error(reseal(bad));
+    EXPECT_NE(error.find("capacity"), std::string::npos) << bad << ": " << error;
+    EXPECT_EQ(error.find("checksum"), std::string::npos) << bad << ": " << error;
+  }
 }
 
 // --- format pins -----------------------------------------------------------

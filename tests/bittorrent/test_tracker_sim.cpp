@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bittorrent/bandwidth.hpp"
@@ -224,6 +225,50 @@ TEST(TrackerSim, MultiTorrentCapacitySplitIsConserved) {
   }
   // The invariant must actually have been exercised on split peers.
   EXPECT_GT(multi_checked, 50u);
+}
+
+TEST(TrackerSim, ClosedOverlappingLayoutKeepsConstructionSplit) {
+  // Swarms that share peers, with no churn and finished leechers
+  // staying on as seeds: no membership is ever lost, so the barrier
+  // never re-splits and every membership keeps the construction-time
+  // share — what the multi-swarm overlap sweep reports on.
+  const std::size_t num_swarms = 3;
+  const std::size_t peers = 12;
+  const std::size_t stride = 8;  // consecutive swarms share 4 peers
+  const std::size_t distinct = (num_swarms - 1) * stride + peers;
+  std::vector<TrackerSwarmSeed> layout(num_swarms);
+  for (std::size_t k = 0; k < num_swarms; ++k) {
+    layout[k].config = member_config(peers);
+    layout[k].config.stay_as_seed = true;
+    for (std::size_t local = 0; local < peers; ++local) {
+      layout[k].members.push_back(static_cast<GlobalPeerId>(k * stride + local));
+    }
+  }
+  const auto capacities = BandwidthModel::saroiu2002().representative_sample(distinct);
+  TrackerSim tracker(TrackerConfig{}, std::move(layout), capacities, 5);
+
+  std::size_t multi_checked = 0;
+  for (std::size_t round = 0; round < 20; ++round) {
+    tracker.run_round();
+    for (std::size_t g = 0; g < distinct; ++g) {
+      // Swarm k holds global ids [k*stride, k*stride + peers); a peer's
+      // j-th membership is its j-th swarm in ascending k.
+      std::vector<std::size_t> swarms_of;
+      for (std::size_t k = 0; k < num_swarms; ++k) {
+        if (g >= k * stride && g < k * stride + peers) swarms_of.push_back(k);
+      }
+      for (std::size_t j = 0; j < swarms_of.size(); ++j) {
+        const std::size_t k = swarms_of[j];
+        const auto local = static_cast<core::PeerId>(g - k * stride);
+        ASSERT_FALSE(tracker.swarm(k).departed(local));
+        EXPECT_EQ(tracker.swarm(k).stats(local).upload_kbps,
+                  membership_capacity_share(capacities[g], swarms_of.size(), j))
+            << "peer " << g << " swarm " << k << " round " << round;
+      }
+      if (swarms_of.size() > 1) ++multi_checked;
+    }
+  }
+  EXPECT_EQ(multi_checked, 20u * (num_swarms - 1) * (peers - stride));
 }
 
 TEST(TrackerSim, ZipfArrivalsAreDeterministicAndSkewed) {

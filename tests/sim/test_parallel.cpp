@@ -1,5 +1,6 @@
-// parallel_for contract: every index exactly once, any thread count,
-// exceptions surfaced on the caller.
+// parallel_for_chunks contract: every index exactly once, any thread
+// count, dense chunk ids, small ranges inline, exceptions surfaced on
+// the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,9 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
     const std::size_t count = 257;
     std::vector<std::atomic<int>> hits(count);
-    parallel_for(count, threads, [&](std::size_t i) { ++hits[i]; });
+    parallel_for_chunks(count, threads, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+      for (std::size_t i = begin; i < end; ++i) ++hits[i];
+    });
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
@@ -24,24 +27,31 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelFor, HandlesDegenerateSizes) {
   std::atomic<int> calls{0};
-  parallel_for(0, 4, [&](std::size_t) { ++calls; });
+  const auto count_calls = [&](std::size_t begin, std::size_t end, std::size_t) {
+    calls.fetch_add(static_cast<int>(end - begin));
+  };
+  parallel_for_chunks(0, 4, 1, count_calls);
   EXPECT_EQ(calls.load(), 0);
-  parallel_for(1, 8, [&](std::size_t) { ++calls; });
+  parallel_for_chunks(1, 8, 1, count_calls);
   EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(ParallelFor, SingleThreadRunsInOrder) {
   std::vector<std::size_t> order;
-  parallel_for(5, 1, [&](std::size_t i) { order.push_back(i); });
+  parallel_for_chunks(5, 1, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) order.push_back(i);
+  });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
-  const auto boom = [](std::size_t i) {
-    if (i == 3) throw std::runtime_error("boom");
+  const auto boom = [](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i == 3) throw std::runtime_error("boom");
+    }
   };
-  EXPECT_THROW(parallel_for(8, 4, boom), std::runtime_error);
-  EXPECT_THROW(parallel_for(8, 1, boom), std::runtime_error);
+  EXPECT_THROW(parallel_for_chunks(8, 4, 1, boom), std::runtime_error);
+  EXPECT_THROW(parallel_for_chunks(8, 1, 1, boom), std::runtime_error);
 }
 
 TEST(ParallelFor, RecommendedThreadsIsPositive) {
