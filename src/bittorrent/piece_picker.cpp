@@ -1,6 +1,7 @@
 #include "bittorrent/piece_picker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -105,6 +106,54 @@ void PiecePicker::add_bitfield(const Bitfield& have) {
       ++availability_[piece];
     }
   }
+}
+
+namespace {
+
+/// kByteSpread[b] holds bit i of b in byte lane i: adding it to a u64
+/// bumps the 8 per-piece byte counters of one bitfield byte at once.
+constexpr std::array<std::uint64_t, 256> kByteSpread = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::size_t b = 0; b < table.size(); ++b) {
+    for (std::size_t i = 0; i < 8; ++i) table[b] |= std::uint64_t{(b >> i) & 1u} << (8 * i);
+  }
+  return table;
+}();
+
+}  // namespace
+
+void PiecePicker::add_bitfields(std::span<const Bitfield> haves) {
+  const std::size_t pieces = availability_.size();
+  for (const Bitfield& have : haves) {
+    if (have.size() != pieces) {
+      throw std::invalid_argument("PiecePicker::add_bitfields: size mismatch");
+    }
+  }
+  // lanes[k] byte i counts piece 8k + i; a byte saturates after 255 rows.
+  std::vector<std::uint64_t> lanes((pieces + 63) / 64 * 8, 0);
+  const auto flush = [&] {
+    for (std::size_t k = 0; k * 8 < pieces; ++k) {
+      const std::size_t width = std::min<std::size_t>(8, pieces - k * 8);
+      for (std::size_t i = 0; i < width; ++i) {
+        availability_[k * 8 + i] += static_cast<std::uint32_t>((lanes[k] >> (8 * i)) & 0xFF);
+      }
+      lanes[k] = 0;
+    }
+  };
+  std::size_t pending = 0;
+  for (const Bitfield& have : haves) {
+    const std::span<const std::uint64_t> words = have.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::size_t j = 0; j < 8; ++j) {
+        lanes[w * 8 + j] += kByteSpread[(words[w] >> (8 * j)) & 0xFF];
+      }
+    }
+    if (++pending == 255) {
+      flush();
+      pending = 0;
+    }
+  }
+  flush();
 }
 
 void PiecePicker::remove_bitfield(const Bitfield& have) {

@@ -77,6 +77,13 @@ class PiecePicker {
   /// Throws std::invalid_argument on a size mismatch.
   void add_bitfield(const Bitfield& have);
 
+  /// add_bitfield() over many rows at once (the resume cross-check):
+  /// counts a byte of each row at a time into 8 byte-lane counters,
+  /// flushed into the counts every 255 rows. Every size is checked
+  /// before anything is counted, so a mismatch throws
+  /// std::invalid_argument with the counts unchanged.
+  void add_bitfields(std::span<const Bitfield> haves);
+
   /// Drops every piece of a departing peer's bitfield. Throws
   /// std::logic_error if any counter is already zero.
   void remove_bitfield(const Bitfield& have);

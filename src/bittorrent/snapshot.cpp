@@ -6,7 +6,6 @@
 
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "bittorrent/peer_table.hpp"
 #include "bittorrent/piece_picker.hpp"
@@ -60,54 +59,63 @@ void Writer::finish() {
   out_->flush();
 }
 
-Reader::Reader(std::istream& in) : in_(in), hash_(kHashBasis) {
+Reader::Reader(std::istream& in) : in_(&in), hash_(kHashBasis) {
   // On a seekable stream, learn how many bytes remain so span() can
   // reject a lying length prefix before allocating anything.
-  const std::istream::pos_type cur = in_.tellg();
+  const std::istream::pos_type cur = in.tellg();
   if (cur != std::istream::pos_type(-1)) {
-    in_.seekg(0, std::ios::end);
-    const std::istream::pos_type end = in_.tellg();
-    in_.seekg(cur);
-    if (end != std::istream::pos_type(-1) && end >= cur && in_.good()) {
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(cur);
+    if (end != std::istream::pos_type(-1) && end >= cur && in.good()) {
       remaining_ = static_cast<std::uint64_t>(end - cur);
       remaining_known_ = true;
     } else {
-      in_.clear();
-      in_.seekg(cur);
+      in.clear();
+      in.seekg(cur);
     }
   } else {
-    in_.clear();  // tellg on a pipe sets failbit; reads must still work
+    in.clear();  // tellg on a pipe sets failbit; reads must still work
   }
 }
 
+Reader::Reader(std::string_view bytes)
+    : hash_(kHashBasis),
+      remaining_(bytes.size()),
+      remaining_known_(true),
+      pos_(reinterpret_cast<const unsigned char*>(bytes.data())),
+      end_(pos_ + bytes.size()) {}
+
 void Reader::raw_read_slow(void* data, std::size_t n) {
   // Caller (the inline raw_read) already accounted `remaining_` and
-  // handled the served-entirely-from-buffer case.
+  // handled the served-entirely-from-window case.
+  if (in_ == nullptr) throw SnapshotError("snapshot: truncated stream");
   auto* dst = static_cast<unsigned char*>(data);
-  const std::size_t buffered = rend_ - rpos_;
+  const auto buffered = static_cast<std::size_t>(end_ - pos_);
   if (buffered > 0) {
-    std::memcpy(dst, rbuf_.data() + rpos_, buffered);
+    std::memcpy(dst, pos_, buffered);
     dst += buffered;
     n -= buffered;
   }
-  rpos_ = rend_ = 0;
+  pos_ = end_ = nullptr;
   // Large reads go straight through; so does everything on a
   // non-seekable stream, where an over-read could not be seeked back
   // for a companion section that follows on the same stream.
   if (n >= kIoBuf || !remaining_known_) {
-    in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in_.gcount()) != n) {
+    in_->read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in_->gcount()) != n) {
       throw SnapshotError("snapshot: truncated stream");
     }
     return;
   }
   if (rbuf_.empty()) rbuf_.resize(kIoBuf);
-  in_.read(reinterpret_cast<char*>(rbuf_.data()), static_cast<std::streamsize>(rbuf_.size()));
-  rend_ = static_cast<std::size_t>(in_.gcount());
-  if (rend_ < n) throw SnapshotError("snapshot: truncated stream");
-  in_.clear();  // a short final refill sets eofbit; the bytes are still good
+  in_->read(reinterpret_cast<char*>(rbuf_.data()), static_cast<std::streamsize>(rbuf_.size()));
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  if (got < n) throw SnapshotError("snapshot: truncated stream");
+  in_->clear();  // a short final refill sets eofbit; the bytes are still good
   std::memcpy(dst, rbuf_.data(), n);
-  rpos_ = n;
+  pos_ = rbuf_.data() + n;
+  end_ = rbuf_.data() + got;
 }
 
 void Reader::header(std::uint64_t magic, const char* name) {
@@ -136,10 +144,10 @@ void Reader::verify_checksum() {
   raw_read(&stored, 8);
   // Return any unconsumed read-ahead so the stream position lands
   // exactly after the footer — a companion section may follow.
-  const std::size_t leftover = rend_ - rpos_;
-  if (leftover > 0) {
-    in_.seekg(-static_cast<std::istream::off_type>(leftover), std::ios::cur);
-    rpos_ = rend_ = 0;
+  const auto leftover = static_cast<std::size_t>(end_ - pos_);
+  if (in_ != nullptr && leftover > 0) {
+    in_->seekg(-static_cast<std::istream::off_type>(leftover), std::ios::cur);
+    pos_ = end_ = nullptr;
   }
   if (stored != expected) throw SnapshotError("snapshot: checksum mismatch (corrupt stream)");
 }
@@ -198,18 +206,6 @@ std::string semantic_bytes(SwarmConfig c) {
   return out;
 }
 
-std::vector<std::uint32_t> to_u32(const std::vector<std::size_t>& v, const char* what) {
-  std::vector<std::uint32_t> out;
-  out.reserve(v.size());
-  for (const std::size_t x : v) {
-    if (x > std::numeric_limits<std::uint32_t>::max()) {
-      throw SnapshotError(std::string("snapshot: ") + what + " exceeds the u32 format limit");
-    }
-    out.push_back(static_cast<std::uint32_t>(x));
-  }
-  return out;
-}
-
 }  // namespace
 
 /// Members that travel in a transformed form: save_impl() derives these
@@ -221,8 +217,6 @@ struct Swarm::Wire {
   std::vector<core::PeerId> live_ids;       // table_, row order
   std::vector<std::uint32_t> row_gens;      // table_
   std::uint64_t pool = 0;                   // edge-slot pool capacity
-  std::vector<std::uint32_t> mirror;        // mirror_, narrowed to u32
-  std::vector<std::uint32_t> free_slots;    // free_slots_, narrowed to u32
   std::vector<core::PeerId> retired_order;  // inverse of retired_ix_
   std::vector<std::uint32_t> avail;         // picker_ availability cross-check
 };
@@ -264,9 +258,9 @@ void Swarm::fields(Ar& ar, Self& s, Wire& x) {
   ar.section(kTagSlots, "slots");
   ar.io(x.pool);
   ar.span(s.edge_peer_);
-  ar.span(x.mirror);
+  ar.span(s.mirror_);
   ar.span(s.slot_gen_);
-  ar.span(x.free_slots);
+  ar.span(s.free_slots_);
   ar.span(s.rate_in_);
   ar.span(s.rate_out_);
   ar.span(s.inflight_);
@@ -309,16 +303,11 @@ void Swarm::fields(Ar& ar, Self& s, Wire& x) {
   }
   for (auto& targets : s.unchoked_) ar.span(targets);
   // Adjacency: sorted neighbor ids, then the parallel slots as bare
-  // u32s (a pool past 4G directed slots is rejected, not truncated).
+  // u32s, their count implied by the neighbor count.
   for (std::size_t r = 0; r < rows; ++r) {
     ar.span(s.nbr_[r]);
-    if constexpr (kLoad) {
-      std::vector<std::uint32_t> slots(s.nbr_[r].size());
-      ar.raw(slots);
-      s.nslot_[r] = {slots.begin(), slots.end()};
-    } else {
-      ar.raw(to_u32(s.nslot_[r], "adjacency slot"));
-    }
+    if constexpr (kLoad) s.nslot_[r].resize(s.nbr_[r].size());
+    ar.raw(s.nslot_[r]);
   }
   for (auto& partial : s.partial_) ar.seq(partial);
 
@@ -385,8 +374,6 @@ void Swarm::save_impl(Writer& w) const {
   x.live_ids = {table_.ids().begin(), table_.ids().end()};
   x.row_gens = {table_.row_generations().begin(), table_.row_generations().end()};
   x.pool = edge_peer_.size();
-  x.mirror = to_u32(mirror_, "mirror slot");
-  x.free_slots = to_u32(free_slots_, "free-list slot");
   x.retired_order.assign(retired_stats_.size(), core::kNoPeer);
   for (std::size_t id = 0; id < retired_ix_.size(); ++id) {
     if (retired_ix_[id] != kNoRetired) {
@@ -401,15 +388,18 @@ void Swarm::save_impl(Writer& w) const {
   w.finish();
 }
 
-Swarm Swarm::resume(std::istream& in, graph::Rng& rng) { return resume_impl(in, rng, nullptr); }
-
-Swarm Swarm::resume(std::istream& in, graph::Rng& rng, const SwarmConfig& config) {
-  return resume_impl(in, rng, &config);
+Swarm Swarm::resume(std::istream& in, graph::Rng& rng) {
+  Reader r(in);
+  return resume_impl(r, rng, nullptr);
 }
 
-Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* override_config) {
+Swarm Swarm::resume(std::istream& in, graph::Rng& rng, const SwarmConfig& config) {
+  Reader r(in);
+  return resume_impl(r, rng, &config);
+}
+
+Swarm Swarm::resume_impl(Reader& r, graph::Rng& rng, const SwarmConfig* override_config) {
   try {
-    Reader r(in);
     Swarm s(ResumeTag{}, rng);
     Wire x;
     fields(r, s, x);
@@ -451,13 +441,11 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
     // *before* it can size a multi-GB assign.
     if (x.pool > kMaxSlots) throw SnapshotError("snapshot: implausible slot-pool size");
     const auto pool = static_cast<std::size_t>(x.pool);
-    if (s.edge_peer_.size() != pool || x.mirror.size() != pool || s.slot_gen_.size() != pool ||
+    if (s.edge_peer_.size() != pool || s.mirror_.size() != pool || s.slot_gen_.size() != pool ||
         s.rate_in_.size() != pool || s.rate_out_.size() != pool || s.inflight_.size() != pool ||
         s.mutual_rounds_.size() != pool) {
       throw SnapshotError("snapshot: slot-pool array size mismatch");
     }
-    s.mirror_ = {x.mirror.begin(), x.mirror.end()};
-    s.free_slots_ = {x.free_slots.begin(), x.free_slots.end()};
     s.now_in_.assign(pool, 0.0);
     s.now_out_.assign(pool, 0.0);
 
@@ -568,17 +556,16 @@ Swarm Swarm::resume_impl(std::istream& in, graph::Rng& rng, const SwarmConfig* o
 
     // Availability: recompute from the live bitfields and prove the
     // stored words match — the derived-state consistency gate.
-    for (std::size_t row = 0; row < rows; ++row) s.picker_.add_bitfield(s.have_[row]);
+    s.picker_.add_bitfields(s.have_);
     for (PieceId piece = 0; piece < cfg.num_pieces; ++piece) {
       if (s.picker_.availability(piece) != x.avail[piece]) {
         throw SnapshotError("snapshot: availability disagrees with live bitfields");
       }
     }
 
-    // Derived caches: ranks rebuild deterministically (no RNG), the
-    // structural generator resumes the checkpointed sequence.
+    // The structural generator resumes the checkpointed sequence; the
+    // rank cache starts dirty and rebuilds (no RNG) on its first read.
     rng.restore(x.rng);
-    s.refresh_ranks_force();
     return s;
   } catch (const SnapshotError&) {
     throw;
@@ -596,13 +583,13 @@ std::string save_to_string(const Swarm& swarm) {
 }
 
 ResumedSwarm resume_from_string(const std::string& snapshot) {
-  std::istringstream in(snapshot, std::ios::binary);
-  return ResumedSwarm(in);
+  Reader r(snapshot);
+  return ResumedSwarm(r, nullptr);
 }
 
 ResumedSwarm resume_from_string(const std::string& snapshot, const SwarmConfig& config) {
-  std::istringstream in(snapshot, std::ios::binary);
-  return ResumedSwarm(in, config);
+  Reader r(snapshot);
+  return ResumedSwarm(r, &config);
 }
 
 std::vector<ResumedSwarm> fork_snapshot(const std::string& snapshot, std::size_t copies) {

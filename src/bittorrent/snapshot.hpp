@@ -34,11 +34,13 @@
 //              every backoff deadline intact)
 //
 // Swarm::fields (snapshot.cpp) strings the sections together. Members
-// stored transformed (peer table, u32-narrowed slot indices, the
-// retired-order inverse map, the availability cross-check) travel as
-// Swarm::Wire: save() derives it, resume() validates it after the
-// checksum and rebuilds the members. SwarmConfig::fields also drives
-// resume()'s config-override check.
+// stored transformed (peer table, the retired-order inverse map, the
+// availability cross-check) travel as Swarm::Wire: save() derives it,
+// resume() validates it after the checksum and rebuilds the members.
+// Slot indices are u32 in memory and on the wire, so they are spanned
+// directly. SwarmConfig::fields also drives resume()'s config-override
+// check. The bandwidth-rank cache is not stored: a resumed swarm
+// rebuilds it on the first stratification()/reciprocated_pairs().
 //
 // Loading rejects bad magic, unknown versions, truncation, checksum
 // mismatches, a config the Swarm constructor would reject and any
@@ -61,7 +63,8 @@
 // fork_snapshot() opens warm-started what-if sweeps: resume one
 // equilibrated snapshot into N independent (rng, swarm) pairs and
 // drive each under a divergent ChurnSpec without re-simulating the
-// ramp-up.
+// ramp-up. It and resume_from_string() parse the caller's string in
+// place; stream loaders read through a refilled read-ahead window.
 #pragma once
 
 #include <algorithm>
@@ -75,6 +78,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -250,23 +254,28 @@ class Writer {
 };
 
 /// Checksummed reader, the load side of Writer's surface: every read
-/// throws SnapshotError("...truncated") on a short stream, and
+/// throws SnapshotError("...truncated") on a short input, and
 /// verify_checksum() compares the running hash with the stored footer.
-/// On seekable streams, small reads are served from a ~64 KB
-/// read-ahead buffer (one istream call per refill, not per field —
-/// per-call overhead would otherwise dominate a 10^5-peer load);
-/// verify_checksum() seeks the stream back over any unconsumed
+/// Reads are served from a byte window. The memory constructor points
+/// the window at the caller's bytes, so a string snapshot is parsed in
+/// place with no copy (the caller keeps the bytes alive while reading).
+/// The stream constructor refills the window from a ~64 KB read-ahead
+/// buffer on seekable streams (one istream call per refill, not per
+/// field — per-call overhead would otherwise dominate a 10^5-peer
+/// load); verify_checksum() seeks the stream back over any unconsumed
 /// read-ahead so a companion section can follow on the same stream.
 ///
-/// A corrupt length prefix cannot force a giant allocation: on a
-/// seekable stream it is checked against the bytes actually remaining
-/// before anything is sized; on a non-seekable stream buffers grow in
-/// bounded chunks and a lying prefix dies on the first short read.
+/// A corrupt length prefix cannot force a giant allocation: in memory
+/// and on a seekable stream it is checked against the bytes actually
+/// remaining before anything is sized; on a non-seekable stream
+/// buffers grow in bounded chunks and a lying prefix dies on the first
+/// short read.
 class Reader {
  public:
   static constexpr bool kLoading = true;
 
   explicit Reader(std::istream& in);
+  explicit Reader(std::string_view bytes);
 
   /// Throws "<name>: bad magic" / "<name>: unsupported version".
   void header(std::uint64_t magic, const char* name);
@@ -289,9 +298,9 @@ class Reader {
       bytes(&v, sizeof v);
     }
   }
-  /// Allocates the result exactly once on a seekable stream (zero
-  /// capacity slack); folds once over the assembled buffer, matching
-  /// the writer's single write.
+  /// Allocates the result exactly once in memory or on a seekable
+  /// stream (zero capacity slack); folds once over the assembled
+  /// buffer, matching the writer's single write.
   template <class T>
   void span(std::vector<T>& v) {
     const std::uint64_t n = count();
@@ -339,19 +348,20 @@ class Reader {
     return n;
   }
   /// Reads without folding (span() folds the assembled buffer once);
-  /// small reads come straight out of the read-ahead buffer.
+  /// reads the window holds are one memcpy out of it.
   void raw_read(void* data, std::size_t n) {
     if (n == 0) return;
     if (remaining_known_) remaining_ -= std::min<std::uint64_t>(remaining_, n);
-    if (n <= rend_ - rpos_) {
-      std::memcpy(data, rbuf_.data() + rpos_, n);
-      rpos_ += n;
+    if (n <= static_cast<std::size_t>(end_ - pos_)) {
+      std::memcpy(data, pos_, n);
+      pos_ += n;
       return;
     }
     raw_read_slow(data, n);
   }
-  /// Buffer exhausted: drain it, then refill (seekable) or read the
-  /// stream directly (large reads, non-seekable streams).
+  /// Window exhausted: truncation in memory; on a stream, drain the
+  /// window, then refill it (seekable) or read the stream directly
+  /// (large reads, non-seekable streams).
   void raw_read_slow(void* data, std::size_t n);
   /// Folds `n` bytes into the running checksum without reading.
   void fold(const void* data, std::size_t n) {
@@ -359,13 +369,13 @@ class Reader {
     hash_ = fold_bytes(hash_, data, n);
   }
 
-  std::istream& in_;
+  std::istream* in_ = nullptr;  // null in memory mode
   std::uint64_t hash_;
   std::uint64_t remaining_ = 0;   // bytes left of the *logical* position
   bool remaining_known_ = false;  // false on pipes: fall back to chunked reads
+  const unsigned char* pos_ = nullptr;  // the window: caller bytes or rbuf_
+  const unsigned char* end_ = nullptr;
   std::vector<unsigned char> rbuf_;  // read-ahead, seekable streams only
-  std::size_t rpos_ = 0;
-  std::size_t rend_ = 0;
 };
 
 }  // namespace snapshot_detail
@@ -412,6 +422,10 @@ class ResumedSwarm {
       : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume(in, *rng_)) {}
   ResumedSwarm(std::istream& in, const SwarmConfig& config)
       : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume(in, *rng_, config)) {}
+  /// Resumes from a Reader already positioned at a swarm snapshot (the
+  /// in-place string path); `config` is an optional override.
+  ResumedSwarm(snapshot_detail::Reader& in, const SwarmConfig* config)
+      : rng_(std::make_unique<graph::Rng>()), swarm_(Swarm::resume_impl(in, *rng_, config)) {}
 
   ResumedSwarm(ResumedSwarm&&) = default;
   ResumedSwarm& operator=(ResumedSwarm&&) = delete;  // Swarm holds a reference member
@@ -430,7 +444,9 @@ class ResumedSwarm {
 /// save() into a string buffer — the fork input.
 [[nodiscard]] std::string save_to_string(const Swarm& swarm);
 
-/// Resumes one (rng, swarm) pair from an in-memory snapshot.
+/// Resumes one (rng, swarm) pair from an in-memory snapshot, parsed in
+/// place: the bytes are read where they are, never copied into a
+/// stream first.
 [[nodiscard]] ResumedSwarm resume_from_string(const std::string& snapshot);
 [[nodiscard]] ResumedSwarm resume_from_string(const std::string& snapshot,
                                               const SwarmConfig& config);

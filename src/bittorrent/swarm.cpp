@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -94,13 +95,16 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
   for (std::size_t p = 0; p < total; ++p) {
     slot_count += overlay.degree(static_cast<graph::Vertex>(p));
   }
+  if (slot_count > std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1) {
+    throw std::length_error("Swarm: edge-slot pool exceeds the u32 slot-index limit");
+  }
   edge_peer_.reserve(slot_count);
   for (std::size_t p = 0; p < total; ++p) {
     const auto nbrs = overlay.neighbors(static_cast<graph::Vertex>(p));
     nbr_[p].assign(nbrs.begin(), nbrs.end());
     nslot_[p].resize(nbrs.size());
     for (std::size_t i = 0; i < nbr_[p].size(); ++i) {
-      nslot_[p][i] = edge_peer_.size();
+      nslot_[p][i] = static_cast<std::uint32_t>(edge_peer_.size());
       edge_peer_.push_back(nbr_[p][i]);
     }
   }
@@ -180,10 +184,9 @@ Swarm::Swarm(const SwarmConfig& config, std::vector<double> upload_kbps, graph::
       }
     }
   }
-  refresh_ranks_force();
 }
 
-std::size_t Swarm::slot_of(Row pr, core::PeerId q) const {
+std::uint32_t Swarm::slot_of(Row pr, core::PeerId q) const {
   const auto& row = nbr_[pr];
   const auto it = std::lower_bound(row.begin(), row.end(), q);
   return nslot_[pr][static_cast<std::size_t>(it - row.begin())];
@@ -193,9 +196,12 @@ std::size_t Swarm::target_degree() const {
   return static_cast<std::size_t>(std::llround(config_.neighbor_degree));
 }
 
-std::size_t Swarm::claim_slot() {
+std::uint32_t Swarm::claim_slot() {
   if (free_slots_.empty()) {
-    const std::size_t s = edge_peer_.size();
+    if (edge_peer_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("Swarm: edge-slot pool exceeds the u32 slot-index limit");
+    }
+    const auto s = static_cast<std::uint32_t>(edge_peer_.size());
     edge_peer_.push_back(0);
     mirror_.push_back(0);
     slot_gen_.push_back(0);
@@ -207,12 +213,12 @@ std::size_t Swarm::claim_slot() {
     mutual_rounds_.push_back(0);
     return s;
   }
-  const std::size_t s = free_slots_.back();
+  const std::uint32_t s = free_slots_.back();
   free_slots_.pop_back();
   return s;
 }
 
-void Swarm::release_slot(std::size_t s) {
+void Swarm::release_slot(std::uint32_t s) {
   // edge_peer_/mirror_ go stale on purpose; the generation bump marks
   // every outstanding reference to this slot as dead.
   rate_in_[s] = 0.0;
@@ -226,13 +232,13 @@ void Swarm::release_slot(std::size_t s) {
 }
 
 void Swarm::connect(core::PeerId p, core::PeerId q) {
-  const std::size_t spq = claim_slot();
-  const std::size_t sqp = claim_slot();
+  const std::uint32_t spq = claim_slot();
+  const std::uint32_t sqp = claim_slot();
   edge_peer_[spq] = q;
   edge_peer_[sqp] = p;
   mirror_[spq] = sqp;
   mirror_[sqp] = spq;
-  const auto insert_row = [this](Row owner, core::PeerId nb, std::size_t slot) {
+  const auto insert_row = [this](Row owner, core::PeerId nb, std::uint32_t slot) {
     auto& row = nbr_[owner];
     const auto it = std::lower_bound(row.begin(), row.end(), nb);
     const auto idx = it - row.begin();
@@ -257,8 +263,8 @@ void Swarm::flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min) {
 void Swarm::release_all_edges(core::PeerId p, Row pr) {
   for (std::size_t i = 0; i < nbr_[pr].size(); ++i) {
     const core::PeerId q = nbr_[pr][i];
-    const std::size_t spq = nslot_[pr][i];
-    const std::size_t sqp = mirror_[spq];
+    const std::uint32_t spq = nslot_[pr][i];
+    const std::uint32_t sqp = mirror_[spq];
     flush_mutual(p, q, p < q ? spq : sqp);
     release_slot(spq);
     release_slot(sqp);
@@ -1096,7 +1102,8 @@ Swarm::AvailabilityStats Swarm::availability_stats() const {
   return out;
 }
 
-void Swarm::refresh_ranks_force() const {
+void Swarm::refresh_ranks() const {
+  if (!ranks_dirty_) return;
   if (config_.retain_departed) {
     leechers_ranked_ = detail::rebuild_bandwidth_ranks_by(
         table_.id_space(), [&](core::PeerId p) -> const PeerStats& { return stats(p); },
@@ -1115,11 +1122,6 @@ void Swarm::refresh_ranks_force() const {
     leechers_ranked_ = order.size();
   }
   ranks_dirty_ = false;
-}
-
-void Swarm::refresh_ranks() const {
-  if (!ranks_dirty_) return;
-  refresh_ranks_force();
 }
 
 std::vector<std::pair<core::PeerId, core::PeerId>> Swarm::reciprocated_pairs() const {

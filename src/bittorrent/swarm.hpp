@@ -549,7 +549,9 @@ inline std::size_t rebuild_bandwidth_ranks(const std::vector<PeerStats>& stats,
 /// The simulator.
 namespace snapshot_detail {
 class Writer;  // snapshot.hpp — save_impl() serializes through it
+class Reader;  // snapshot.hpp — resume_impl() parses through it
 }  // namespace snapshot_detail
+class ResumedSwarm;  // snapshot.hpp — resumes strings in place via resume_impl()
 
 class Swarm {
  public:
@@ -822,10 +824,12 @@ class Swarm {
   /// the snapshot loader (snapshot.cpp) to fill.
   struct ResumeTag {};
   Swarm(ResumeTag, graph::Rng& rng) : rng_(rng), picker_(0) {}
-  /// Shared loader behind both resume() overloads (`override` may be
-  /// null); defined in snapshot.cpp next to save().
-  [[nodiscard]] static Swarm resume_impl(std::istream& in, graph::Rng& rng,
+  /// Shared loader behind both resume() overloads and the in-place
+  /// string path (`override` may be null); defined in snapshot.cpp
+  /// next to save().
+  [[nodiscard]] static Swarm resume_impl(snapshot_detail::Reader& in, graph::Rng& rng,
                                          const SwarmConfig* override_config);
+  friend class ResumedSwarm;
   /// Shared body behind both save() overloads; defined in snapshot.cpp.
   void save_impl(snapshot_detail::Writer& w) const;
   /// Members stored in a transformed form (snapshot.cpp).
@@ -909,12 +913,14 @@ class Swarm {
     return have_[receiver].interested_in(have_[sender]);
   }
   /// Edge slot of neighbor q in row pr's sorted adjacency.
-  [[nodiscard]] std::size_t slot_of(Row pr, core::PeerId q) const;
-  /// Claims a slot (free list first, pool growth second).
-  std::size_t claim_slot();
+  [[nodiscard]] std::uint32_t slot_of(Row pr, core::PeerId q) const;
+  /// Claims a slot (free list first, pool growth second). Throws
+  /// std::length_error rather than grow the pool past 2^32 slots, the
+  /// u32 slot-index limit.
+  std::uint32_t claim_slot();
   /// Zeroes a slot's dynamic state, bumps its generation and parks it
   /// on the free list. The pair's mutual count must be flushed first.
-  void release_slot(std::size_t s);
+  void release_slot(std::uint32_t s);
   /// Connects p and q: claims both directed slots and inserts each into
   /// the other's sorted adjacency row.
   void connect(core::PeerId p, core::PeerId q);
@@ -934,10 +940,9 @@ class Swarm {
   /// deadline arrived re-announce (or reschedule if the tracker is
   /// still down). No-op unless outages are configured.
   void fault_step();
-  /// Rebuilds bandwidth_rank_ if a join (or, without the archive, a
-  /// departure) made it stale.
+  /// Rebuilds bandwidth_rank_ if construction, resume, a join (or,
+  /// without the archive, a departure) made it stale.
   void refresh_ranks() const;
-  void refresh_ranks_force() const;
   /// Tracker target degree (llround(neighbor_degree)).
   [[nodiscard]] std::size_t target_degree() const;
 
@@ -964,7 +969,7 @@ class Swarm {
   // ids sorted ascending, nslot_[r] the parallel directed slot carrying
   // (owner -> nbr) state.
   std::vector<std::vector<core::PeerId>> nbr_;
-  std::vector<std::vector<std::size_t>> nslot_;
+  std::vector<std::vector<std::uint32_t>> nslot_;
   // Partial piece progress (row-indexed): per receiver, (piece, KB
   // accumulated) pairs. At most one entry per active sender, so linear
   // scans win over hashing.
@@ -1057,11 +1062,9 @@ class Swarm {
   // every release so stale references are detectable. free_slots_
   // holds released ids.
   std::vector<core::PeerId> edge_peer_;   // slot -> neighbor (external id)
-  // strat-lint: serialized-via(mirror) -- narrowed to u32, as Wire
-  std::vector<std::size_t> mirror_;       // slot -> reverse slot
-  std::vector<std::uint32_t> slot_gen_;   // release count
-  // strat-lint: serialized-via(free_slots) -- narrowed to u32, as Wire
-  std::vector<std::size_t> free_slots_;   // recycling free list
+  std::vector<std::uint32_t> mirror_;      // slot -> reverse slot
+  std::vector<std::uint32_t> slot_gen_;    // release count
+  std::vector<std::uint32_t> free_slots_;  // recycling free list
   std::vector<double> rate_in_;   // smoothed KB/round received on slot
   // strat-lint: not-serialized -- provably zero between rounds (fold_rates
   // clears it; save() may only run at round boundaries); re-zeroed on load
@@ -1080,13 +1083,13 @@ class Swarm {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> retired_mutual_;
 
   // Leecher bandwidth ranks (external id -> rank), rebuilt lazily:
-  // join() only marks them dirty, so churn-heavy rounds never pay the
-  // O(L log L) sort — the readers (stratification, reciprocated_pairs)
-  // refresh on demand.
-  // strat-lint: not-serialized -- derived cache; refresh_ranks_force() on load
+  // construction, resume and join() only mark them dirty, so neither
+  // churn-heavy rounds nor checkpoints pay the O(L log L) sort — the
+  // readers (stratification, reciprocated_pairs) refresh on demand.
+  // strat-lint: not-serialized -- derived cache; rebuilt on its first read after load
   mutable std::vector<std::size_t> bandwidth_rank_;
   // strat-lint: not-serialized -- dirty bit of the derived rank cache
-  mutable bool ranks_dirty_ = false;
+  mutable bool ranks_dirty_ = true;
   // Leechers covered by bandwidth_rank_ (ever with the archive, live
   // without) — the offset normalization in stratification().
   // strat-lint: not-serialized -- derived with bandwidth_rank_ on refresh

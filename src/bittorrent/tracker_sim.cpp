@@ -471,12 +471,20 @@ TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
     r.verify_checksum();
   }
 
-  for (auto& slot : t.swarms_) {
+  // Member state the constructor would reject is rejected here too.
+  std::vector<std::vector<bool>> claimed(t.swarms_.size());
+  for (std::size_t k = 0; k < t.swarms_.size(); ++k) {
+    auto& slot = t.swarms_[k];
     slot = std::make_unique<SwarmSlot>();
     slot->swarm.emplace(Swarm::resume(in, slot->rng));
+    if (!slot->swarm->config().retain_departed) {
+      throw SnapshotError("tracker snapshot: swarm " + std::to_string(k) +
+                          " has retain_departed=false (ecosystem reports cover departed peers)");
+    }
     slot->driver.emplace(t.cfg_.swarm_churn, slot->swarm->config(), std::vector<double>{},
                          slot->rng);
     restore_churn_driver(in, *slot->driver);
+    claimed[k].assign(slot->swarm->peer_count(), false);
   }
 
   for (const PeerRegistry::Record& rec : t.registry_.records()) {
@@ -490,6 +498,11 @@ TrackerSim TrackerSim::resume(std::istream& in, const TrackerConfig& cfg) {
       if (m.local >= t.swarms_[m.swarm]->swarm->peer_count()) {
         throw SnapshotError("tracker snapshot: membership names an unknown peer");
       }
+      if (claimed[m.swarm][m.local]) {
+        throw SnapshotError("tracker snapshot: swarm " + std::to_string(m.swarm) + " peer " +
+                            std::to_string(m.local) + " is claimed by two memberships");
+      }
+      claimed[m.swarm][m.local] = true;
     }
   }
   t.build_zipf();

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace strat::bt {
 namespace {
@@ -98,6 +101,48 @@ TEST(Bitfield, BernoulliMatchesPerPieceLoopAndRngState) {
       EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
     }
   }
+}
+
+TEST(PiecePicker, AddBitfieldsMatchesPerBitfieldLoop) {
+  // The byte-lane counters saturate after 255 rows, so the row counts
+  // straddle the flush boundary; the sizes cover empty, ragged and
+  // whole-word tails. Both pickers start from the same nonzero counts.
+  for (const std::size_t bits : {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                 std::size_t{65}, std::size_t{1029}}) {
+    for (const std::size_t rows : {std::size_t{0}, std::size_t{1}, std::size_t{254},
+                                   std::size_t{255}, std::size_t{256}, std::size_t{511},
+                                   std::size_t{600}}) {
+      for (const double density : {0.0, 0.5, 1.0}) {
+        graph::Rng rng(bits * 1000 + rows);
+        const Bitfield base = Bitfield::bernoulli(bits, 0.5, rng);
+        std::vector<Bitfield> haves;
+        for (std::size_t r = 0; r < rows; ++r) {
+          haves.push_back(Bitfield::bernoulli(bits, density, rng));
+        }
+        PiecePicker fast(bits);
+        PiecePicker slow(bits);
+        fast.add_bitfield(base);
+        slow.add_bitfield(base);
+        fast.add_bitfields(haves);
+        for (const Bitfield& have : haves) slow.add_bitfield(have);
+        for (PieceId t = 0; t < bits; ++t) {
+          ASSERT_EQ(fast.availability(t), slow.availability(t))
+              << "bits " << bits << " rows " << rows << " density " << density << " piece " << t;
+        }
+      }
+    }
+  }
+  // A size mismatch throws before anything is counted, even behind a
+  // flush's worth of good rows.
+  graph::Rng rng(5);
+  PiecePicker picker(65);
+  picker.add_bitfield(Bitfield::bernoulli(65, 0.5, rng));
+  std::vector<std::uint32_t> before;
+  for (PieceId t = 0; t < 65; ++t) before.push_back(picker.availability(t));
+  std::vector<Bitfield> haves(300, Bitfield::bernoulli(65, 1.0, rng));
+  haves.emplace_back(64);  // the mismatch comes last, after a flush's worth of rows
+  EXPECT_THROW(picker.add_bitfields(haves), std::invalid_argument);
+  for (PieceId t = 0; t < 65; ++t) EXPECT_EQ(picker.availability(t), before[t]) << "piece " << t;
 }
 
 TEST(PiecePicker, AvailabilityBookkeeping) {

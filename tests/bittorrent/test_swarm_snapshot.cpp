@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -543,14 +545,16 @@ TEST(SwarmSnapshot, ConstructorsRejectNaNPieceSize) {
   EXPECT_THROW(ReferenceSwarm(cfg, capacities(8), rng), std::invalid_argument);
 }
 
+/// Multiplicative inverse of an odd word mod 2^64.
+std::uint64_t inverse(std::uint64_t a) {
+  std::uint64_t x = a;  // Newton's iteration mod 2^64: 3 -> 96 correct bits
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
 /// Inverse of snapshot_detail::mix64: each xor-shift and odd multiply
 /// of the SplitMix64 finalizer is a bijection on 64-bit words.
 std::uint64_t unmix64(std::uint64_t z) {
-  const auto inverse = [](std::uint64_t a) {
-    std::uint64_t x = a;  // Newton's iteration mod 2^64: 3 -> 96 correct bits
-    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
-    return x;
-  };
   z ^= (z >> 31) ^ (z >> 62);
   z *= inverse(0x94D049BB133111EBULL);
   z ^= (z >> 27) ^ (z >> 54);
@@ -616,6 +620,220 @@ TEST(SwarmSnapshot, ResumeRejectsNonPositiveCapacity) {
     const std::string error = resume_error(reseal(bad));
     EXPECT_NE(error.find("capacity"), std::string::npos) << bad << ": " << error;
     EXPECT_EQ(error.find("checksum"), std::string::npos) << bad << ": " << error;
+  }
+}
+
+TEST(TrackerSnapshot, ResumeRejectsMemberStateTheConstructorRejects) {
+  // Round-0, 2-swarm streams whose swarm 1 differs only in `endgame`.
+  // In SwarmConfig::fields, `retain_departed` is the 1-byte field right
+  // after `endgame`; a 1-byte field folds as the lane (byte + 1), so
+  // the two streams' unmixed swarm-1 footers differ by the endgame
+  // lane's weight, and the retain_departed lane weighs that times M^-1.
+  TrackerConfig tcfg;
+  tcfg.arrival_model = BandwidthModel::saroiu2002();
+  constexpr std::size_t kPeers = 10;
+  const auto stream = [&](bool endgame) {
+    std::vector<TrackerSwarmSeed> seeds(2);
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      SwarmConfig cfg = base_config(kPeers);
+      cfg.neighbor_degree = 4.0;
+      cfg.num_pieces = 16;
+      cfg.endgame = k == 0 || endgame;
+      seeds[k].config = cfg;
+      for (std::size_t i = 0; i < kPeers; ++i) {
+        seeds[k].members.push_back(static_cast<GlobalPeerId>(k * kPeers + i));
+      }
+    }
+    TrackerSim tracker(tcfg, std::move(seeds), capacities(2 * kPeers), kSeed);
+    std::ostringstream out(std::ios::binary);
+    tracker.save(out);
+    return std::move(out).str();
+  };
+  const std::string bytes = stream(true);
+  const std::string other = stream(false);
+  ASSERT_EQ(bytes.size(), other.size());
+  const auto magic_at = [&](std::uint64_t magic, std::size_t from) {
+    std::string pattern(8, '\0');
+    std::memcpy(pattern.data(), &magic, 8);
+    const std::size_t at = bytes.find(pattern, from);
+    EXPECT_NE(at, std::string::npos);
+    return at;
+  };
+  const std::size_t swarm0 = magic_at(kSnapshotMagic, 0);
+  const std::size_t swarm1 = magic_at(kSnapshotMagic, swarm0 + 8);
+  const std::size_t footer1 = magic_at(kChurnMagic, swarm1) - 8;
+  std::size_t endgame_at = std::string::npos;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] != other[i] && (i < footer1 || i >= footer1 + 8)) {
+      ASSERT_EQ(endgame_at, std::string::npos) << "second differing byte " << i;
+      endgame_at = i;
+    }
+  }
+  ASSERT_GT(endgame_at, swarm1);
+  ASSERT_LT(endgame_at, footer1);
+  ASSERT_EQ(bytes[endgame_at + 1], 1) << "retain_departed follows endgame";
+  const auto unmixed = [](const std::string& b, std::size_t footer) {
+    std::uint64_t f = 0;
+    std::memcpy(&f, b.data() + footer, 8);
+    return unmix64(f);
+  };
+  const std::uint64_t endgame_weight = unmixed(bytes, footer1) - unmixed(other, footer1);
+  const auto reseal = [&](std::string b, std::size_t footer, std::size_t at, char value,
+                          std::uint64_t weight) {
+    const auto delta = static_cast<std::uint64_t>(value - b[at]);
+    b[at] = value;
+    patch(b, footer, snapshot_detail::mix64(unmixed(b, footer) + delta * weight));
+    return b;
+  };
+  // The re-seal is sound: clearing endgame reproduces the other stream.
+  ASSERT_EQ(reseal(bytes, footer1, endgame_at, 0, endgame_weight), other);
+  const auto tracker_error = [&](const std::string& b) {
+    std::istringstream in(b, std::ios::binary);
+    try {
+      (void)TrackerSim::resume(in, tcfg);
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(tracker_error(bytes), "");
+
+  const std::string no_archive = reseal(bytes, footer1, endgame_at + 1, 0,
+                                        endgame_weight * inverse(snapshot_detail::kFoldMul));
+  std::string error = tracker_error(no_archive);
+  EXPECT_NE(error.find("swarm 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("retain_departed"), std::string::npos) << error;
+
+  // The registry is the last thing the tracker section folds, and the
+  // last membership's u32 `local` (lane local + 4) is its last lane, of
+  // weight 1. Records are in id order: global peer 19 is (swarm 1,
+  // local 9); pointing it at local 8 duplicates peer 18's membership.
+  const std::size_t footer0 = swarm0 - 8;
+  std::uint32_t last_swarm = 0;
+  std::uint32_t last_local = 0;
+  std::memcpy(&last_swarm, bytes.data() + footer0 - 8, 4);
+  std::memcpy(&last_local, bytes.data() + footer0 - 4, 4);
+  ASSERT_EQ(last_swarm, 1u);
+  ASSERT_EQ(last_local, kPeers - 1);
+  const std::string duplicate =
+      reseal(bytes, footer0, footer0 - 4, static_cast<char>(kPeers - 2), 1);
+  error = tracker_error(duplicate);
+  EXPECT_NE(error.find("swarm 1 peer 8"), std::string::npos) << error;
+  EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
+}
+
+TEST(SwarmSnapshot, StreamPathRejectsEveryTruncationAndByteFlip) {
+  // resume_from_string() parses in place; the istream path refills its
+  // window from the stream. Both must reject the same hostile inputs.
+  const std::string bytes = tiny_snapshot();
+  const auto stream_throws = [](const std::string& b) {
+    std::istringstream in(b, std::ios::binary);
+    graph::Rng rng;
+    try {
+      (void)Swarm::resume(in, rng);
+    } catch (const SnapshotError&) {
+      return true;
+    }
+    return false;
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_TRUE(stream_throws(bytes.substr(0, len))) << "prefix length " << len;
+  }
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
+    EXPECT_TRUE(stream_throws(corrupt)) << "byte offset " << at;
+  }
+}
+
+TEST(SwarmSnapshot, StringStreamFileAndForkResumesResaveIdentically) {
+  // One checkpoint loaded through every entry point: the string (in
+  // place), an istringstream and an ifstream (read-ahead window, with
+  // the churn section following on the same stream), and forks.
+  constexpr std::size_t kPeers = 150;
+  SwarmConfig cfg = base_config(kPeers);
+  cfg.faults.connect_failure_prob = 0.2;
+  cfg.faults.lane_loss_prob = 0.05;
+  const UninterruptedRun run = run_with_checkpoint(cfg, kPeers, /*churned=*/true, 18);
+  const std::string& bytes = run.swarm_snapshot;
+  const std::string both = bytes + run.churn_snapshot;
+  const auto driver_bytes = [&](ResumedSwarm& resumed, std::istream& in) {
+    ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), resumed.rng());
+    restore_churn_driver(in, churn);
+    std::ostringstream out(std::ios::binary);
+    save_churn_driver(out, churn);
+    return std::move(out).str();
+  };
+  {
+    const ResumedSwarm resumed = resume_from_string(both);  // trailing bytes are not read
+    EXPECT_EQ(save_to_string(resumed.swarm()), bytes) << "string";
+  }
+  {
+    std::istringstream in(both, std::ios::binary);
+    ResumedSwarm resumed(in);
+    EXPECT_EQ(save_to_string(resumed.swarm()), bytes) << "istringstream";
+    EXPECT_EQ(driver_bytes(resumed, in), run.churn_snapshot) << "istringstream churn section";
+  }
+  {
+    const std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) / "strat_snapshot_entry_points.snap";
+    std::ofstream(path, std::ios::binary) << both;
+    std::ifstream in(path, std::ios::binary);
+    ResumedSwarm resumed(in);
+    EXPECT_EQ(save_to_string(resumed.swarm()), bytes) << "ifstream";
+    EXPECT_EQ(driver_bytes(resumed, in), run.churn_snapshot) << "ifstream churn section";
+    in.close();
+    std::filesystem::remove(path);
+  }
+  for (const ResumedSwarm& fork : fork_snapshot(bytes, 3)) {
+    EXPECT_EQ(save_to_string(fork.swarm()), bytes) << "fork";
+  }
+}
+
+TEST(SwarmSnapshot, ResumedRanksMatchUninterruptedWithAndWithoutArchive) {
+  // The rank cache is rebuilt on its first read after resume: a
+  // resumed churned swarm must report the uninterrupted run's
+  // stratification and reciprocated pairs, right after loading and
+  // after more churned rounds, with departed peers archived or not.
+  constexpr std::size_t kPeers = 120;
+  for (const bool retain : {true, false}) {
+    SwarmConfig cfg = base_config(kPeers);
+    cfg.retain_departed = retain;
+    cfg.num_pieces = 256;  // leechers outlive the checkpoint, so live pairs exist
+    graph::Rng rng(kSeed);
+    Swarm swarm(cfg, capacities(kPeers), rng);
+    ChurnDriver<Swarm> churn(churny_spec(), cfg, capacities(kPeers), rng);
+    churn.attach(swarm);
+    const auto advance = [](Swarm& s, ChurnDriver<Swarm>& c, std::size_t rounds) {
+      for (std::size_t r = 0; r < rounds; ++r) {
+        c.before_round(s);
+        s.run_round();
+      }
+    };
+    advance(swarm, churn, 15);
+    const std::string snap = save_to_string(swarm);
+    std::ostringstream churn_out(std::ios::binary);
+    save_churn_driver(churn_out, churn);
+    ResumedSwarm resumed = resume_from_string(snap);
+    ChurnDriver<Swarm> resumed_churn(churny_spec(), cfg, capacities(kPeers), resumed.rng());
+    std::istringstream churn_in(std::move(churn_out).str(), std::ios::binary);
+    restore_churn_driver(churn_in, resumed_churn);
+    const auto compare = [&](const char* when) {
+      const StratificationReport a = swarm.stratification();
+      const StratificationReport b = resumed.swarm().stratification();
+      EXPECT_EQ(a.reciprocated_pairs, b.reciprocated_pairs) << when << " retain " << retain;
+      EXPECT_EQ(a.mean_normalized_offset, b.mean_normalized_offset) << when << " retain " << retain;
+      EXPECT_EQ(a.partner_rank_correlation, b.partner_rank_correlation)
+          << when << " retain " << retain;
+      EXPECT_GT(a.reciprocated_pairs, 0u) << when << " retain " << retain;
+      EXPECT_EQ(swarm.reciprocated_pairs(), resumed.swarm().reciprocated_pairs())
+          << when << " retain " << retain;
+    };
+    compare("right after resume");
+    advance(swarm, churn, 15);
+    advance(resumed.swarm(), resumed_churn, 15);
+    compare("after 15 more churned rounds");
+    EXPECT_GT(swarm.departures(), 0u);
   }
 }
 
