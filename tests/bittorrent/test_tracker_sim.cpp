@@ -453,6 +453,89 @@ TEST(TrackerSim, InjectedArrivalsShareDriverBookkeeping) {
   EXPECT_GT(swarm.stats(fresh).pieces, 0u);
 }
 
+// --- join-heavy golden ----------------------------------------------------
+//
+// FNV-64 digest of the save() bytes of a faulted ecosystem in which
+// arrivals dominate: 8-piece swarms with arrival_completion 0.9, so
+// many arrivals complete on arrival and depart at once; half the
+// arrivals are multi-torrent; staggered tracker outages make some joins
+// land during an outage. Captured before member joins moved from the
+// serial barrier into the shard tasks; the digest pins that the move
+// changed no byte, at one shard and at four.
+
+std::uint64_t fnv64(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TrackerSim join_heavy_tracker(std::size_t shards) {
+  constexpr std::size_t kSwarms = 10;
+  constexpr std::size_t kPeers = 12;
+  std::vector<TrackerSwarmSeed> seeds(kSwarms);
+  for (std::size_t k = 0; k < kSwarms; ++k) {
+    SwarmConfig scfg;
+    scfg.num_peers = kPeers;
+    scfg.seeds = 1;
+    scfg.num_pieces = 8;
+    scfg.piece_kb = 32.0;
+    scfg.neighbor_degree = 5.0;
+    scfg.initial_completion = 0.5;
+    scfg.stay_as_seed = false;
+    scfg.faults.outage_period = 5;
+    scfg.faults.outage_duration = 2;
+    scfg.faults.outage_phase = k;  // stagger outages across swarms
+    scfg.faults.connect_failure_prob = 0.2;
+    scfg.faults.connect_attempts = 2;
+    scfg.faults.nat_fraction = 0.25;
+    seeds[k].config = scfg;
+    seeds[k].members.resize(kPeers);
+    for (std::size_t local = 0; local < kPeers; ++local) {
+      seeds[k].members[local] = static_cast<GlobalPeerId>(k * kPeers + local);
+    }
+  }
+  TrackerConfig cfg;
+  cfg.shards = shards;
+  cfg.arrival_rate = 12.0;
+  cfg.zipf_exponent = 1.0;
+  cfg.multi_torrent_fraction = 0.5;
+  cfg.arrival_model = BandwidthModel::saroiu2002();
+  cfg.swarm_churn.lifetime = ChurnSpec::Lifetime::kExponential;
+  cfg.swarm_churn.lifetime_rounds = 8.0;
+  cfg.swarm_churn.arrival_completion = 0.9;
+  const auto capacities = BandwidthModel::saroiu2002().representative_sample(kSwarms * kPeers);
+  return TrackerSim(cfg, std::move(seeds), capacities, 4242);
+}
+
+TEST(TrackerGolden, JoinHeavyFaultedEcosystemSaveBytes) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    TrackerSim tracker = join_heavy_tracker(shards);
+    tracker.run(30);
+    // The scenario exercises what it claims to: joins during outages,
+    // NAT and connect faults, and arrivals that complete on arrival.
+    const EcosystemReport report = tracker.ecosystem_report();
+    EXPECT_GT(report.fault_failed_announces, 0u);
+    EXPECT_GT(report.fault_connect_failures, 0u);
+    EXPECT_GT(report.fault_nat_rejections, 0u);
+    std::size_t done_on_arrival = 0;
+    for (std::size_t k = 0; k < tracker.swarm_count(); ++k) {
+      const Swarm& s = tracker.swarm(k);
+      for (core::PeerId p = 0; p < s.peer_count(); ++p) {
+        const PeerStats& st = s.stats(p);
+        if (s.departed(p) && st.join_round > 0.0 && st.leave_round == st.join_round &&
+            st.completion_round == st.join_round) {
+          ++done_on_arrival;
+        }
+      }
+    }
+    EXPECT_GT(done_on_arrival, 20u);
+    EXPECT_EQ(fnv64(save_bytes(tracker)), 0x08924a98485306c6ULL) << "shards=" << shards;
+  }
+}
+
 TEST(TrackerSim, CapacityShareSumsExactly) {
   for (const double kbps : {56.0, 384.0, 768.0, 1537.3, 99999.875}) {
     for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
