@@ -252,10 +252,7 @@ void Swarm::connect(core::PeerId p, core::PeerId q) {
 void Swarm::flush_mutual(core::PeerId p, core::PeerId q, std::size_t slot_min) {
   if (mutual_rounds_[slot_min] == 0) return;
   if (config_.retain_departed) {
-    const core::PeerId a = std::min(p, q);
-    const core::PeerId b = std::max(p, q);
-    retired_mutual_.emplace_back((static_cast<std::uint64_t>(a) << 32) | b,
-                                 mutual_rounds_[slot_min]);
+    retired_mutual_.push_back({std::min(p, q), std::max(p, q), mutual_rounds_[slot_min]});
   }
   mutual_rounds_[slot_min] = 0;
 }
@@ -1154,7 +1151,7 @@ StratificationReport Swarm::stratification() const {
   // retired records of released edges, merged per pair so a
   // disconnected-then-reconnected pair counts once — exactly the
   // map-per-pair semantics of ReferenceSwarm.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> records = retired_mutual_;
+  std::vector<RetiredMutual> records = retired_mutual_;
   for (Row r = 0; r < table_.size(); ++r) {
     if (stats_[r].seed) continue;
     const core::PeerId p = table_.id_at(r);
@@ -1166,16 +1163,18 @@ StratificationReport Swarm::stratification() const {
       if (stats_[qr].seed) continue;
       const std::uint32_t rounds = mutual_rounds_[nslot_[r][i]];
       if (rounds == 0) continue;
-      records.emplace_back((static_cast<std::uint64_t>(p) << 32) | q, rounds);
+      records.push_back({p, q, rounds});
     }
   }
-  std::sort(records.begin(), records.end());
+  std::sort(records.begin(), records.end(),
+            [](const RetiredMutual& x, const RetiredMutual& y) { return x.key() < y.key(); });
   std::size_t merged = 0;
   for (std::size_t i = 0; i < records.size();) {
-    std::uint64_t key = records[i].first;
-    std::uint32_t rounds = records[i].second;
-    for (++i; i < records.size() && records[i].first == key; ++i) rounds += records[i].second;
-    records[merged++] = {key, rounds};
+    RetiredMutual pair = records[i];
+    for (++i; i < records.size() && records[i].key() == pair.key(); ++i) {
+      pair.rounds += records[i].rounds;
+    }
+    records[merged++] = pair;
   }
   records.resize(merged);
 
@@ -1191,9 +1190,7 @@ StratificationReport Swarm::stratification() const {
   std::vector<double> partner_weight(table_.id_space(), 0.0);
   // Pair order = (a ascending, b ascending): deterministic accumulation
   // shared with ReferenceSwarm.
-  for (const auto& [key, rounds] : records) {
-    const auto a = static_cast<core::PeerId>(key >> 32);
-    const auto b = static_cast<core::PeerId>(key & 0xFFFFFFFFu);
+  for (const auto& [a, b, rounds] : records) {
     const double w = static_cast<double>(rounds);
     const double ra = static_cast<double>(bandwidth_rank_[a]);
     const double rb = static_cast<double>(bandwidth_rank_[b]);

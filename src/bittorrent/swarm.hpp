@@ -1079,8 +1079,30 @@ class Swarm {
   // present and downloading, on the lower-endpoint-owned slot. Flushed
   // into retired_mutual_ when the edge is released.
   std::vector<std::uint32_t> mutual_rounds_;
-  // Mutual-unchoke history of disconnected pairs: (min<<32|max, rounds).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> retired_mutual_;
+  // Mutual-unchoke history of one disconnected leecher pair, a < b:
+  // 12 bytes, where a (key, rounds) pair would pad to 16. On the wire it
+  // is the u64 key a<<32|b, then the u32 rounds.
+  struct RetiredMutual {
+    core::PeerId a = 0;
+    core::PeerId b = 0;
+    std::uint32_t rounds = 0;
+
+    [[nodiscard]] std::uint64_t key() const noexcept {
+      return (static_cast<std::uint64_t>(a) << 32) | b;
+    }
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& m) {
+      std::uint64_t key = m.key();
+      ar.io(key);
+      if constexpr (Ar::kLoading) {
+        m.a = static_cast<core::PeerId>(key >> 32);
+        m.b = static_cast<core::PeerId>(key & 0xFFFFFFFFu);
+      }
+      ar.io(m.rounds);
+    }
+  };
+  static_assert(sizeof(RetiredMutual) == 12);
+  std::vector<RetiredMutual> retired_mutual_;
 
   // Leecher bandwidth ranks (external id -> rank), rebuilt lazily:
   // construction, resume and join() only mark them dirty, so neither

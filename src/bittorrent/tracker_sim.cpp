@@ -236,11 +236,30 @@ void TrackerSim::admit_one() {
   }
   registry_.add(kbps);
   for (std::size_t j = 0; j < m; ++j) {
+    // The join itself runs at the head of the swarm's shard task; the
+    // local id it will receive is fixed now, because Swarm::join hands
+    // out id_space() — to an arrival that departs at once too.
     SwarmSlot& slot = *swarms_[chosen[j]];
-    const double share = membership_capacity_share(kbps, m, j);
-    const core::PeerId local = slot.driver->join_injected(*slot.swarm, share);
+    const auto local =
+        static_cast<core::PeerId>(slot.swarm->peer_count() + slot.queued_joins.size());
+    slot.queued_joins.push_back(membership_capacity_share(kbps, m, j));
     registry_.add_membership(g, chosen[j], local);
   }
+}
+
+void TrackerSim::run_queued_joins(std::size_t k) {
+  SwarmSlot& slot = *swarms_[k];
+  auto expected = static_cast<core::PeerId>(slot.swarm->peer_count());
+  for (const double share : slot.queued_joins) {
+    const core::PeerId local = slot.driver->join_injected(*slot.swarm, share);
+    if (local != expected) {
+      throw std::logic_error("TrackerSim: swarm " + std::to_string(k) + " join got local id " +
+                             std::to_string(local) + ", registered " +
+                             std::to_string(expected));
+    }
+    ++expected;
+  }
+  slot.queued_joins.clear();
 }
 
 void TrackerSim::run_round() {
@@ -251,14 +270,16 @@ void TrackerSim::run_round() {
   barrier_seconds_ += seconds_between(barrier_start, barrier_end);
 
   // Longest-first dynamic claiming (see the file comment). Each swarm's
-  // round touches only its own slot (swarm + driver + rng), so the
-  // schedule cannot change a result; each worker writes only its own
-  // shard_wall_ entry.
+  // task — its queued joins, then its round — touches only its own slot
+  // (swarm + driver + rng + queue), so the schedule cannot change a
+  // result; each worker writes only its own shard_wall_ entry.
   order_.resize(swarms_.size());
   std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::stable_sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
-    return swarms_[a]->swarm->live_peer_count() > swarms_[b]->swarm->live_peer_count();
-  });
+  const auto load = [this](std::size_t k) {
+    return swarms_[k]->swarm->live_peer_count() + swarms_[k]->queued_joins.size();
+  };
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::size_t a, std::size_t b) { return load(a) > load(b); });
   const std::size_t workers = resolve_shards();
   shard_wall_.assign(workers, 0.0);
   std::atomic<std::size_t> next{0};
@@ -266,6 +287,7 @@ void TrackerSim::run_round() {
     const auto worker_start = std::chrono::steady_clock::now();
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < order_.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {
+      run_queued_joins(order_[i]);
       SwarmSlot& slot = *swarms_[order_[i]];
       slot.driver->before_round(*slot.swarm);
       slot.swarm->run_round();
@@ -447,6 +469,12 @@ void TrackerSim::fields(Ar& ar, Self& t) {
 }
 
 void TrackerSim::save(std::ostream& out) const {
+  for (std::size_t k = 0; k < swarms_.size(); ++k) {
+    if (!swarms_[k]->queued_joins.empty()) {
+      throw std::logic_error("TrackerSim::save: swarm " + std::to_string(k) +
+                             " has queued joins; save only between rounds");
+    }
+  }
   {
     snapshot_detail::Writer w(out);
     fields(w, *this);

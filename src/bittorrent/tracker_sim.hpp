@@ -349,11 +349,15 @@ class TrackerSim {
  private:
   /// One member swarm: the structural Rng at a stable heap-slot
   /// address (Swarm and ChurnDriver hold references into it — the
-  /// ResumedSwarm pattern), the swarm, and its churn driver.
+  /// ResumedSwarm pattern), the swarm, its churn driver, and the
+  /// capacity shares of this round's arrivals, in arrival order, which
+  /// the barrier queues and the swarm's shard task joins. Empty at
+  /// every round boundary, so snapshots never carry it.
   struct SwarmSlot {
     graph::Rng rng;
     std::optional<Swarm> swarm;
     std::optional<ChurnDriver<Swarm>> driver;
+    std::vector<double> queued_joins;
   };
 
   /// Resume shell: binds the config, leaves the rest to resume().
@@ -372,9 +376,15 @@ class TrackerSim {
   /// Barrier phase 1: drop departed memberships, compact the registry,
   /// re-split the capacities of records that lost a membership.
   void maintain_registry();
-  /// Barrier phase 2: ecosystem Poisson arrivals.
+  /// Barrier phase 2: ecosystem Poisson arrivals. admit_one() makes
+  /// every cross-swarm decision and registers each membership under
+  /// the local id its queued join will receive.
   void admit_arrivals();
   void admit_one();
+  /// Shard task head: joins swarm k's queued arrivals in arrival order
+  /// through its ChurnDriver; throws std::logic_error if a join's
+  /// local id differs from the one admit_one() registered.
+  void run_queued_joins(std::size_t k);
 
   // strat-lint: not-serialized -- construction input; resume() takes the
   // same config again (the ChurnDriver spec/pool precedent).
