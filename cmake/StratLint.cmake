@@ -9,6 +9,8 @@
 #   test_strat_lint  the linter's own unit tests: seeded-violation
 #                    fixtures per rule, the clean-tree regression, and
 #                    the delete-a-save-line R4 demo
+#   test_bench_compare  unit tests of scripts/bench_compare.py (paired
+#                    perfbench comparison) over fixture result lines
 #
 # Python 3 ships on every CI image and dev box this repo targets; when
 # it is genuinely absent the lint tier is skipped with a notice (same
@@ -32,6 +34,10 @@ add_test(NAME test_strat_lint
   COMMAND Python3::Interpreter
           ${CMAKE_CURRENT_SOURCE_DIR}/tools/strat_lint/tests/test_strat_lint.py)
 
-set_tests_properties(strat_lint test_strat_lint PROPERTIES
+add_test(NAME test_bench_compare
+  COMMAND Python3::Interpreter
+          ${CMAKE_CURRENT_SOURCE_DIR}/scripts/tests/test_bench_compare.py)
+
+set_tests_properties(strat_lint test_strat_lint test_bench_compare PROPERTIES
   LABELS "lint"
   TIMEOUT 120)

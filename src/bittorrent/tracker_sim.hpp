@@ -6,30 +6,47 @@
 //
 //  1. A serial barrier phase (the "tracker"): prune departed
 //     memberships from the global PeerRegistry, re-split the capacities
-//     of multi-torrent peers that just lost a membership, and admit
+//     of multi-torrent peers that just lost a membership, and register
 //     ecosystem-level arrivals — a single Poisson process whose
 //     arrivals pick swarms from a Zipf popularity distribution and
 //     whose per-arrival randomness (capacity draw, multi-torrent coin,
 //     swarm picks) comes from counter-based streams keyed by (tracker
-//     key, global peer id, round), the PR-5 recipe lifted to ecosystem
-//     level: no arrival's draws depend on how many arrivals precede it
-//     in the same round.
+//     key, global peer id, round), Swarm's choke-stream recipe lifted
+//     to ecosystem level: no arrival's draws depend on how many
+//     arrivals precede it in the same round. The barrier makes every
+//     cross-swarm decision — global id, capacity share, registry
+//     membership — but joins no one: it queues each membership's share
+//     on its swarm and registers the local id the join will receive
+//     (Swarm::join hands out peer_count(), so that is peer_count() plus
+//     the joins already queued there).
 //  2. A sharded round phase: `shards` workers on sim::WorkerPool claim
-//     swarms longest-first — the swarm list sorted by live peers
-//     descending (ties in ascending k), handed out one at a time from a
-//     shared atomic cursor — so the Zipf head starts first and the
-//     small tail fills the gaps. Intra-swarm `threads` is forced to 1
-//     under sharding so the pool is never oversubscribed: the parallel
-//     unit is the whole swarm round.
+//     swarms longest-first — the swarm list sorted by live peers plus
+//     queued joins, descending (ties in ascending k), handed out one at
+//     a time from a shared atomic cursor — so the Zipf head starts
+//     first and the small tail fills the gaps. A claimed swarm first
+//     runs its queued joins through its ChurnDriver in arrival order
+//     (each must receive the registered id, or the task throws
+//     std::logic_error), then the driver's before_round() and the
+//     swarm's round. Intra-swarm `threads` is forced to 1 under
+//     sharding so the pool is never oversubscribed: the parallel unit
+//     is the whole swarm task.
 //
-// Determinism contract, one level up from Swarm's: every swarm's round
-// touches only its own slot (swarm + driver + rng), every cross-swarm
-// decision happens in the serial barrier, and worker wall-times go to
-// per-worker slots — so which worker runs which swarm cannot change a
-// result: results are bitwise identical at any `shards` value, and a
-// closed (no-churn) member swarm is bitwise identical to
-// the same Swarm run standalone with Rng(seed + stride * (k+1)).
-// test_tracker_sim proves both differentials, at 10^3 swarms included.
+// Determinism contract, one level up from Swarm's: every swarm task
+// touches only its own slot (swarm + driver + rng + join queue), every
+// cross-swarm decision happens in the serial barrier, and worker
+// wall-times go to per-worker slots — so which worker runs which swarm
+// cannot change a result: results are bitwise identical at any
+// `shards` value, and a closed (no-churn) member swarm is bitwise
+// identical to the same Swarm run standalone with Rng(seed + stride *
+// (k+1)). Where a join runs cannot change a result either: each swarm
+// sees the barrier's re-split, then its own joins in arrival order,
+// then before_round() and run_round() — the order a barrier that
+// joined itself would give — and a join draws only from its swarm's
+// Rng and from streams keyed by that swarm's ids. The join queues are
+// empty at every round boundary, so snapshots never see them.
+// test_tracker_sim proves the shard and standalone differentials, at
+// 10^3 swarms included, and pins a join-heavy faulted ecosystem's
+// save() bytes to a digest taken when the barrier still ran the joins.
 //
 // Capacity-split semantics: a peer in m swarms brings
 // membership_capacity_share(kbps, m, j) to its j-th membership — every
@@ -299,8 +316,8 @@ class TrackerSim {
   TrackerSim& operator=(TrackerSim&&) = default;
 
   /// One ecosystem round: serial barrier (registry prune, capacity
-  /// re-split, arrivals), then every member swarm's round, claimed
-  /// longest-first by the shard workers.
+  /// re-split, arrival registration), then every member swarm's queued
+  /// joins and round, claimed longest-first by the shard workers.
   void run_round();
   void run(std::size_t rounds);
 
@@ -323,7 +340,8 @@ class TrackerSim {
   /// tracker header section (round counter, arrival-stream key,
   /// tracker generator, registry), then each member swarm's STRATSWM
   /// snapshot followed by its driver's STRATCHN companion, in swarm
-  /// order. Call between rounds only. Two trackers in lockstep emit
+  /// order. Call between rounds only (throws std::logic_error if a
+  /// swarm still has queued joins). Two trackers in lockstep emit
   /// identical bytes regardless of their shard counts — the byte
   /// equality the shard differential tests assert.
   void save(std::ostream& out) const;
