@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for scripts/bench_compare.py over fixture result lines.
+"""Unit tests for scripts/bench_compare.py over fixture result lines, and a
+key check of the perf history in BENCH_perfbench.json.
 
     python3 scripts/tests/test_bench_compare.py
 """
@@ -148,6 +149,51 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(status, 0)
         self.assertEqual(set(rows), {"peer_rounds_per_s", "checkpoint_ms_p50", "setup_s"})
         self.assertTrue(all(r[8] == "none" for r in rows.values()))
+
+
+class BenchHistoryTest(unittest.TestCase):
+    """BENCH_perfbench.json at the repo root: the per-PR perf trajectory."""
+
+    MACHINE_KEYS = {"nproc", "cpu", "avx512", "compiler", "build_type"}
+
+    def setUp(self):
+        root = SCRIPTS.parent
+        bench = json.loads((root / "BENCHMARK.json").read_text())
+        self.metrics = {m["name"] for m in bench["end_to_end"]}
+        self.workloads = {w["name"] for w in bench["workloads"]}
+        self.entries = json.loads((root / "BENCH_perfbench.json").read_text())["entries"]
+
+    def check_metrics(self, values, where):
+        self.assertIsInstance(values, dict, where)
+        self.assertTrue(values, where)
+        self.assertLessEqual(set(values), self.metrics, where)
+
+    def test_entries_carry_the_required_keys(self):
+        self.assertTrue(self.entries)
+        for i, e in enumerate(self.entries):
+            where = f"entry {i}"
+            self.assertIsInstance(e["pr"], int, where)
+            self.assertIn(e["workload"], self.workloads, where)
+            self.assertIsInstance(e["seed"], int, where)
+            self.assertEqual(set(e["machine"]), self.MACHINE_KEYS, where)
+            self.assertIn(e["kind"], ("baseline", "paired"), where)
+            if e["kind"] == "baseline":
+                self.assertGreater(e["runs"], 0, where)
+                self.check_metrics(e["range"], where)
+                for lo, hi in e["range"].values():
+                    self.assertLessEqual(lo, hi, where)
+                continue
+            self.assertGreater(e["pairs"], 0, where)
+            if e["parent"] is None:  # only the change/parent ratios were recorded
+                self.assertIsNone(e["change"], where)
+                self.check_metrics(e["ratio"], where)
+            else:
+                self.check_metrics(e["parent"], where)
+                self.assertEqual(set(e["parent"]), set(e["change"]), where)
+
+    def test_entries_are_in_pr_order(self):
+        prs = [e["pr"] for e in self.entries if e["kind"] == "paired"]
+        self.assertEqual(prs, sorted(prs))
 
 
 if __name__ == "__main__":

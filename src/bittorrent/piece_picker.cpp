@@ -6,9 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#ifdef STRAT_PICK_AVX512
 #include <immintrin.h>
-#define STRAT_PICK_AVX512_DISPATCH 1
 #endif
 
 namespace strat::bt {
@@ -176,16 +175,15 @@ std::uint32_t PiecePicker::availability(PieceId piece) const { return availabili
 
 namespace {
 
-/// Two-pass rarest-first over the candidate words (remote \ local,
-/// minus an optional exclusion mask): pass 1 finds the minimum
-/// availability and the tie count without touching the RNG, one draw
-/// picks the winner's index, pass 2 walks to it. Exactly uniform over
-/// the ties, and orders of magnitude fewer RNG calls than per-tie
-/// reservoir sampling — this is the swarm simulator's hottest loop.
+/// Rarest-first over the candidate words (remote \ local, minus an
+/// optional exclusion mask) — the swarm simulator's hottest loop. Both
+/// kernels find the minimum availability and its tie count without the
+/// RNG, make one rng.below(ties) draw (none for a single tie) and walk
+/// in piece order to the k-th tie: exactly uniform over the ties, and
+/// the same pick and RNG draws on every machine.
 template <typename WordFn>
-std::optional<PieceId> pick_rarest_scalar(const std::vector<std::uint32_t>& availability,
-                                          std::size_t words, WordFn&& candidate_word,
-                                          graph::Rng& rng) {
+std::optional<PieceId> pick_scalar(const std::uint32_t* availability, std::size_t words,
+                                   WordFn&& candidate_word, graph::Rng& rng) {
   std::uint32_t best_avail = 0;
   std::uint64_t ties = 0;
   for (std::size_t w = 0; w < words; ++w) {
@@ -220,127 +218,94 @@ std::optional<PieceId> pick_rarest_scalar(const std::vector<std::uint32_t>& avai
   return std::nullopt;  // unreachable: pass 2 revisits pass 1's candidates
 }
 
-#ifdef STRAT_PICK_AVX512_DISPATCH
+#ifdef STRAT_PICK_AVX512
 
-// GCC's own avx512fintrin.h trips -Wmaybe-uninitialized when the
-// masked-load intrinsics inline under -O2.
+// GCC's own avx512fintrin.h trips -W(maybe-)uninitialized when the
+// masked loads and the reductions (_mm256_undefined_si256) inline.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 
-/// A bitfield word maps directly onto four 16-lane mask registers, so
-/// the per-set-bit availability gather of the scalar loop becomes four
-/// masked vector loads per word, flat in candidate density. Produces
-/// exactly the scalar loop's (best, tie count, k-th tie) — bitwise
-/// identical picks and RNG consumption on every machine, with or
-/// without the instruction set.
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline std::uint32_t word_min_avx512(
-    const std::uint32_t* avail, std::uint64_t mask) {
-  const __m512i inf = _mm512_set1_epi32(-1);
-  __m512i vmin = inf;
-  for (int j = 0; j < 4; ++j) {
-    const auto m = static_cast<__mmask16>(mask >> (16 * j));
-    if (!m) continue;
-    vmin = _mm512_min_epu32(vmin, _mm512_mask_loadu_epi32(inf, m, avail + 16 * j));
-  }
-  return _mm512_reduce_min_epu32(vmin);
-}
-
-__attribute__((target("avx512f,avx512bw"), always_inline)) inline std::uint32_t
-word_eq_count_avx512(const std::uint32_t* avail, std::uint64_t mask, std::uint32_t best) {
-  const __m512i inf = _mm512_set1_epi32(-1);
-  const __m512i vb = _mm512_set1_epi32(static_cast<int>(best));
-  std::uint32_t count = 0;
-  for (int j = 0; j < 4; ++j) {
-    const auto m = static_cast<__mmask16>(mask >> (16 * j));
-    if (!m) continue;
-    const __m512i v = _mm512_mask_loadu_epi32(inf, m, avail + 16 * j);
-    count += static_cast<std::uint32_t>(
-        std::popcount(static_cast<std::uint32_t>(_mm512_mask_cmpeq_epu32_mask(m, v, vb))));
-  }
-  return count;
-}
-
+/// Each 16-piece group of a word is one masked load, flat in candidate
+/// density. The sweep keeps a per-lane running minimum and tie count
+/// (masked compare, move and add; no branch per group). Starting from
+/// UINT32_MAX with count 0, a candidate at UINT32_MAX still counts and
+/// an empty lane adds 0. The walk skips whole words by their tie count.
+/// Lanes past num_pieces are never candidates (Bitfield keeps them
+/// zero), so the masked loads never touch them.
 template <typename WordFn>
-__attribute__((target("avx512f,avx512bw"))) std::optional<PieceId> pick_rarest_avx512(
-    const std::vector<std::uint32_t>& availability, std::size_t words, WordFn&& candidate_word,
+__attribute__((target("avx512f"))) std::optional<PieceId> pick_avx512(
+    const std::uint32_t* availability, std::size_t words, WordFn&& candidate_word,
     graph::Rng& rng) {
-  std::uint32_t best = 0xFFFFFFFFu;
-  bool any = false;
+  const __m512i one = _mm512_set1_epi32(1);
+  __m512i lane_min = _mm512_set1_epi32(-1);
+  __m512i lane_ties = _mm512_setzero_si512();
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t mask = candidate_word(w);
-    if (!mask) continue;
-    any = true;
-    // The last word's tail lanes (beyond num_pieces) are never
-    // candidates — Bitfield keeps them zero — so the masked loads
-    // stay inside the availability array.
-    const std::uint32_t m = word_min_avx512(&availability[w * 64], mask);
-    best = m < best ? m : best;
+    for (int j = 0; j < 4; ++j) {
+      const auto m = static_cast<__mmask16>(mask >> (16 * j));
+      const __m512i v = _mm512_maskz_loadu_epi32(m, availability + w * 64 + 16 * j);
+      const __mmask16 lt = _mm512_mask_cmplt_epu32_mask(m, v, lane_min);
+      const __mmask16 eq = _mm512_mask_cmpeq_epu32_mask(m, v, lane_min);
+      lane_min = _mm512_mask_mov_epi32(lane_min, lt, v);
+      lane_ties = _mm512_mask_mov_epi32(lane_ties, lt, one);
+      lane_ties = _mm512_mask_add_epi32(lane_ties, eq, lane_ties, one);
+    }
   }
-  if (!any) return std::nullopt;
-  std::uint64_t ties = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t mask = candidate_word(w);
-    if (!mask) continue;
-    ties += word_eq_count_avx512(&availability[w * 64], mask, best);
-  }
+  const std::uint32_t best = _mm512_reduce_min_epu32(lane_min);
+  const __m512i vbest = _mm512_set1_epi32(static_cast<int>(best));
+  const auto ties = static_cast<std::uint32_t>(
+      _mm512_mask_reduce_add_epi32(_mm512_cmpeq_epu32_mask(lane_min, vbest), lane_ties));
+  if (ties == 0) return std::nullopt;
   std::uint64_t k = ties == 1 ? 0 : rng.below(ties);
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t mask = candidate_word(w);
-    if (!mask) continue;
-    const std::uint32_t count = word_eq_count_avx512(&availability[w * 64], mask, best);
-    if (k >= count) {
-      k -= count;
-      continue;
+    std::uint64_t hits = 0;
+    for (int j = 0; j < 4; ++j) {
+      const auto m = static_cast<__mmask16>(mask >> (16 * j));
+      const __m512i v = _mm512_maskz_loadu_epi32(m, availability + w * 64 + 16 * j);
+      hits |= std::uint64_t{_mm512_mask_cmpeq_epu32_mask(m, v, vbest)} << (16 * j);
     }
-    std::uint64_t bits = mask;
-    while (bits != 0) {
-      const auto piece =
-          static_cast<PieceId>(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-      if (availability[piece] == best) {
-        if (k == 0) return piece;
-        --k;
-      }
+    const auto count = static_cast<std::uint64_t>(std::popcount(hits));
+    if (k < count) {
+      for (; k != 0; --k) hits &= hits - 1;
+      return static_cast<PieceId>(w * 64 + static_cast<std::size_t>(std::countr_zero(hits)));
     }
+    k -= count;
   }
-  return std::nullopt;  // unreachable: pass 3 revisits pass 1's candidates
+  return std::nullopt;  // unreachable: the walk revisits the sweep's candidates
 }
 
 #pragma GCC diagnostic pop
+#endif  // STRAT_PICK_AVX512
 
-bool pick_has_avx512() {
-  static const bool ok =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
-  return ok;
-}
-
-#endif  // STRAT_PICK_AVX512_DISPATCH
-
-/// Dense candidate sets pay ~1 availability load per candidate in the
-/// scalar loop; the vector path is flat (~4 masked loads per word), so
-/// it wins once a pick sees more than about two candidates per lane
-/// group. Sparse sets (endgame tails, nearly-done receivers) stay on
-/// the scalar loop, which is faster there and the only path on
-/// machines without the instruction set.
 template <typename WordFn>
-std::optional<PieceId> pick_rarest_masked(const std::vector<std::uint32_t>& availability,
-                                          std::size_t words, WordFn&& candidate_word,
-                                          graph::Rng& rng) {
-#ifdef STRAT_PICK_AVX512_DISPATCH
-  if (pick_has_avx512()) {
-    std::size_t candidates = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      candidates += static_cast<std::size_t>(std::popcount(candidate_word(w)));
-    }
-    if (candidates >= 128) {
-      return pick_rarest_avx512(availability, words, candidate_word, rng);
-    }
-  }
+std::optional<PieceId> pick_words(const std::uint32_t* availability, std::size_t words,
+                                  WordFn&& candidate_word, graph::Rng& rng) {
+#ifdef STRAT_PICK_AVX512
+  static const bool avx512 = __builtin_cpu_supports("avx512f");
+  if (avx512) return pick_avx512(availability, words, candidate_word, rng);
 #endif
-  return pick_rarest_scalar(availability, words, candidate_word, rng);
+  return pick_scalar(availability, words, candidate_word, rng);
 }
 
 }  // namespace
+
+std::optional<PieceId> detail::pick_rarest_scalar(std::span<const std::uint32_t> availability,
+                                                  std::span<const std::uint64_t> candidates,
+                                                  graph::Rng& rng) {
+  return pick_scalar(
+      availability.data(), candidates.size(), [&](std::size_t w) { return candidates[w]; }, rng);
+}
+
+#ifdef STRAT_PICK_AVX512
+std::optional<PieceId> detail::pick_rarest_avx512(std::span<const std::uint32_t> availability,
+                                                  std::span<const std::uint64_t> candidates,
+                                                  graph::Rng& rng) {
+  return pick_avx512(
+      availability.data(), candidates.size(), [&](std::size_t w) { return candidates[w]; }, rng);
+}
+#endif
 
 std::optional<PieceId> PiecePicker::pick_rarest(const Bitfield& local, const Bitfield& remote,
                                                 graph::Rng& rng) const {
@@ -349,8 +314,8 @@ std::optional<PieceId> PiecePicker::pick_rarest(const Bitfield& local, const Bit
   }
   const std::span<const std::uint64_t> lw = local.words();
   const std::span<const std::uint64_t> rw = remote.words();
-  return pick_rarest_masked(
-      availability_, rw.size(), [&](std::size_t w) { return rw[w] & ~lw[w]; }, rng);
+  return pick_words(
+      availability_.data(), rw.size(), [&](std::size_t w) { return rw[w] & ~lw[w]; }, rng);
 }
 
 std::optional<PieceId> PiecePicker::pick_rarest(const Bitfield& local, const Bitfield& remote,
@@ -362,8 +327,8 @@ std::optional<PieceId> PiecePicker::pick_rarest(const Bitfield& local, const Bit
   const std::span<const std::uint64_t> lw = local.words();
   const std::span<const std::uint64_t> rw = remote.words();
   const std::span<const std::uint64_t> ew = excluded.words();
-  return pick_rarest_masked(
-      availability_, rw.size(), [&](std::size_t w) { return rw[w] & ~lw[w] & ~ew[w]; }, rng);
+  return pick_words(
+      availability_.data(), rw.size(), [&](std::size_t w) { return rw[w] & ~lw[w] & ~ew[w]; }, rng);
 }
 
 }  // namespace strat::bt

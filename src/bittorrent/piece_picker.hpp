@@ -15,6 +15,10 @@
 
 #include "graph/rng.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define STRAT_PICK_AVX512 1
+#endif
+
 namespace strat::bt {
 
 using PieceId = std::uint32_t;
@@ -108,5 +112,23 @@ class PiecePicker {
  private:
   std::vector<std::uint32_t> availability_;
 };
+
+namespace detail {
+
+/// The kernels behind PiecePicker::pick_rarest, over raw availability
+/// counts and caller-built candidate words (bit i of word w = piece
+/// w*64+i; ceil(n/64) words, none set at or past n). pick_rarest runs
+/// the AVX-512 one where the CPU has AVX-512F, else the scalar one;
+/// both give the same pick and RNG draws. Exposed so tests pin each.
+[[nodiscard]] std::optional<PieceId> pick_rarest_scalar(
+    std::span<const std::uint32_t> availability, std::span<const std::uint64_t> candidates,
+    graph::Rng& rng);
+#ifdef STRAT_PICK_AVX512
+[[nodiscard]] std::optional<PieceId> pick_rarest_avx512(
+    std::span<const std::uint32_t> availability, std::span<const std::uint64_t> candidates,
+    graph::Rng& rng);
+#endif
+
+}  // namespace detail
 
 }  // namespace strat::bt

@@ -164,6 +164,11 @@ void TrackerSim::build_zipf() {
     zipf_cdf_[k] = acc;
   }
   zipf_cdf_.back() = 1.0;  // guard the cumulative rounding tail
+  // admit_one() redraws a second swarm until it differs from the first.
+  if (swarms_.size() > 1 && cfg_.multi_torrent_fraction > 0.0 && zipf_cdf_[0] >= 1.0) {
+    throw std::invalid_argument(
+        "TrackerSim: zipf_exponent leaves multi-torrent arrivals no second swarm");
+  }
 }
 
 std::uint32_t TrackerSim::zipf_pick(graph::Rng& stream) const {

@@ -134,7 +134,8 @@ struct TrackerConfig {
 
   /// Swarm-popularity exponent: swarm k attracts arrivals with
   /// probability proportional to (k+1)^-zipf_exponent (0 = uniform) —
-  /// order the seeds most-popular-first.
+  /// order the seeds most-popular-first. Rejected (std::invalid_argument)
+  /// when so steep that multi-torrent arrivals never reach a 2nd swarm.
   double zipf_exponent = 1.0;
 
   /// Probability an arrival is multi-torrent: it joins two *distinct*

@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace strat::bt {
@@ -249,66 +252,156 @@ TEST(PiecePicker, RemoveAvailabilityUndoesAddAndGuardsZero) {
 // Independent scalar reimplementation of the pick contract: minimum
 // availability among candidates, ties counted in piece order, one
 // rng.below(ties) draw (none for a single tie), k-th tie in piece
-// order. pick_rarest dispatches to a vector kernel on machines that
-// have it; this pins the kernel to the exact scalar semantics — same
-// pick AND same RNG consumption — on whatever path this machine runs.
-std::optional<PieceId> reference_pick(const PiecePicker& picker, const Bitfield& local,
-                                      const Bitfield& remote, const Bitfield* excluded,
+// order. Pins each kernel to the exact contract — same pick AND same
+// RNG consumption.
+std::optional<PieceId> reference_pick(const std::vector<std::uint32_t>& avail,
+                                      const std::vector<std::uint64_t>& candidates,
                                       graph::Rng& rng) {
+  const auto is_candidate = [&](std::size_t t) { return (candidates[t / 64] >> (t % 64)) & 1u; };
   std::uint32_t best = 0;
   std::uint64_t ties = 0;
-  for (PieceId t = 0; t < local.size(); ++t) {
-    if (local.test(t) || !remote.test(t) || (excluded != nullptr && excluded->test(t))) continue;
-    const std::uint32_t avail = picker.availability(t);
-    if (ties == 0 || avail < best) {
-      best = avail;
+  for (std::size_t t = 0; t < avail.size(); ++t) {
+    if (!is_candidate(t)) continue;
+    if (ties == 0 || avail[t] < best) {
+      best = avail[t];
       ties = 1;
-    } else if (avail == best) {
+    } else if (avail[t] == best) {
       ++ties;
     }
   }
   if (ties == 0) return std::nullopt;
   std::uint64_t k = ties == 1 ? 0 : rng.below(ties);
-  for (PieceId t = 0; t < local.size(); ++t) {
-    if (local.test(t) || !remote.test(t) || (excluded != nullptr && excluded->test(t))) continue;
-    if (picker.availability(t) != best) continue;
-    if (k == 0) return t;
+  for (std::size_t t = 0; t < avail.size(); ++t) {
+    if (!is_candidate(t) || avail[t] != best) continue;
+    if (k == 0) return static_cast<PieceId>(t);
     --k;
   }
   return std::nullopt;
 }
 
+std::vector<std::uint64_t> words_of(const Bitfield& b) {
+  return {b.words().begin(), b.words().end()};
+}
+
+using Kernel = std::optional<PieceId> (*)(std::span<const std::uint32_t>,
+                                          std::span<const std::uint64_t>, graph::Rng&);
+
+// The scalar kernel on every host, the AVX-512 kernel where the CPU
+// has it: pick_rarest takes only one of them on a given host.
+std::vector<std::pair<const char*, Kernel>> kernels() {
+  std::vector<std::pair<const char*, Kernel>> out{{"scalar", &detail::pick_rarest_scalar}};
+#ifdef STRAT_PICK_AVX512
+  if (__builtin_cpu_supports("avx512f")) out.emplace_back("avx512", &detail::pick_rarest_avx512);
+#endif
+  return out;
+}
+
 TEST(PiecePicker, PickMatchesScalarContractAtEveryDensity) {
   // 1029 pieces: a ragged tail word, so the kernel's masked loads and
-  // the tail-lane handling are exercised too.
+  // the tail-lane handling are exercised too. pick_rarest runs the
+  // host's kernel; the loop below runs each kernel directly.
   const std::size_t n = 1029;
   PiecePicker picker(n);
   graph::Rng setup(2024);
+  std::vector<std::uint32_t> avail(n);
   for (PieceId t = 0; t < n; ++t) {
     // Clustered availability (many ties) to stress tie counting.
     const auto copies = 1 + static_cast<std::uint32_t>(setup.below(7));
     for (std::uint32_t c = 0; c < copies; ++c) picker.add_availability(t);
+    avail[t] = copies;
   }
   for (const double density : {0.01, 0.1, 0.4, 0.8, 0.99}) {
     Bitfield local(n);
     Bitfield remote(n);
     Bitfield excluded(n);
+    Bitfield cand(n);
+    Bitfield cand_ex(n);
     for (PieceId t = 0; t < n; ++t) {
       if (setup.bernoulli(0.4)) local.set(t);
       if (setup.bernoulli(density)) remote.set(t);
       if (setup.bernoulli(0.1)) excluded.set(t);
+      if (remote.test(t) && !local.test(t)) cand.set(t);
+      if (cand.test(t) && !excluded.test(t)) cand_ex.set(t);
     }
+    const std::vector<std::uint64_t> cw = words_of(cand);
+    const std::vector<std::uint64_t> cxw = words_of(cand_ex);
     graph::Rng a(99);
     graph::Rng b(99);
     for (int i = 0; i < 200; ++i) {
-      ASSERT_EQ(picker.pick_rarest(local, remote, a), reference_pick(picker, local, remote, nullptr, b))
+      ASSERT_EQ(picker.pick_rarest(local, remote, a), reference_pick(avail, cw, b))
           << "density " << density << " iter " << i;
-      ASSERT_EQ(picker.pick_rarest(local, remote, excluded, a),
-                reference_pick(picker, local, remote, &excluded, b))
+      ASSERT_EQ(picker.pick_rarest(local, remote, excluded, a), reference_pick(avail, cxw, b))
           << "density " << density << " iter " << i;
+      for (const auto& [name, kernel] : kernels()) {
+        ASSERT_EQ(kernel(avail, cw, a), reference_pick(avail, cw, b))
+            << name << " density " << density << " iter " << i;
+        ASSERT_EQ(kernel(avail, cxw, a), reference_pick(avail, cxw, b))
+            << name << " density " << density << " iter " << i;
+      }
       // Same draw count: the streams must stay in lockstep.
       ASSERT_EQ(a(), b()) << "RNG divergence at density " << density << " iter " << i;
     }
+  }
+}
+
+TEST(PiecePicker, KernelsMatchScalarContractAtEdgeCases) {
+  for (const auto& [name, kernel] : kernels()) {
+    // No candidate: nullopt, no draw. Exactly one candidate: no draw,
+    // even though other pieces are rarer.
+    for (const std::size_t n : {1u, 64u, 1029u}) {
+      const std::vector<std::uint32_t> avail(n, 3);
+      std::vector<std::uint64_t> cand((n + 63) / 64, 0);
+      graph::Rng a(7);
+      graph::Rng b(7);
+      EXPECT_EQ(kernel(avail, cand, a), std::nullopt) << name << " n " << n;
+      EXPECT_EQ(a(), b()) << name << " drew with no candidate, n " << n;
+      cand.back() = std::uint64_t{1} << ((n - 1) % 64);
+      EXPECT_EQ(kernel(avail, cand, a), std::optional<PieceId>(static_cast<PieceId>(n - 1)))
+          << name << " n " << n;
+      EXPECT_EQ(a(), b()) << name << " drew for a single candidate, n " << n;
+    }
+    // Availabilities at and above 2^31, up to UINT32_MAX (the sweep's
+    // starting minimum): a signed compare would rank 2^31 below 1.
+    for (const std::size_t n : {1u, 64u, 1029u}) {
+      graph::Rng setup(n);
+      const std::uint32_t levels[] = {1u, 2u, 0x7FFFFFFFu, 0x80000000u, 0x80000001u, 0xFFFFFFFEu,
+                                      0xFFFFFFFFu};
+      for (std::size_t lo = 0; lo < std::size(levels); ++lo) {
+        std::vector<std::uint32_t> avail(n);
+        for (std::uint32_t& v : avail) {
+          v = levels[lo + setup.below(std::size(levels) - lo)];
+        }
+        std::vector<std::uint64_t> cand((n + 63) / 64, 0);
+        for (std::size_t t = 0; t < n; ++t) {
+          if (setup.bernoulli(0.5)) cand[t / 64] |= std::uint64_t{1} << (t % 64);
+        }
+        graph::Rng a(11);
+        graph::Rng b(11);
+        for (int i = 0; i < 20; ++i) {
+          ASSERT_EQ(kernel(avail, cand, a), reference_pick(avail, cand, b))
+              << name << " n " << n << " floor " << levels[lo];
+        }
+        ASSERT_EQ(a(), b()) << name << " n " << n << " floor " << levels[lo];
+      }
+    }
+    // Ties split between the first word and the ragged last word
+    // (pieces 1024..1028): the walk must count through the full words
+    // and land inside the tail.
+    const std::size_t n = 1029;
+    std::vector<std::uint32_t> avail(n, 9);
+    std::vector<std::uint64_t> cand((n + 63) / 64, ~std::uint64_t{0});
+    cand.back() = 0x1F;
+    for (const std::size_t t : {5u, 1024u, 1026u, 1028u}) avail[t] = 2;
+    graph::Rng a(13);
+    graph::Rng b(13);
+    std::set<PieceId> seen;
+    for (int i = 0; i < 200; ++i) {
+      const auto pick = kernel(avail, cand, a);
+      ASSERT_EQ(pick, reference_pick(avail, cand, b)) << name << " iter " << i;
+      seen.insert(*pick);
+    }
+    EXPECT_EQ(seen, (std::set<PieceId>{5, 1024, 1026, 1028})) << name;
+    EXPECT_EQ(a(), b()) << name;
   }
 }
 

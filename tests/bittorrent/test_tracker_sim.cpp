@@ -227,6 +227,37 @@ TEST(TrackerSim, MultiTorrentCapacitySplitIsConserved) {
   EXPECT_GT(multi_checked, 50u);
 }
 
+TEST(TrackerSim, ZipfTooSteepForASecondSwarmIsRejected) {
+  // At exponent 60 swarm 0's CDF entry rounds to 1.0, so admit_one()
+  // could never draw a distinct second swarm and would spin forever:
+  // construction throws instead, before any round can run.
+  const auto capacities = BandwidthModel::saroiu2002().representative_sample(32);
+  TrackerConfig cfg = churned_config(1);
+  cfg.arrival_rate = 2.0;
+  cfg.multi_torrent_fraction = 1.0;
+  cfg.zipf_exponent = 60.0;
+  EXPECT_THROW(TrackerSim(cfg, disjoint_seeds(2, 16), capacities, 1), std::invalid_argument);
+
+  // Still valid: no multi-torrent arrivals, or a single swarm.
+  cfg.multi_torrent_fraction = 0.0;
+  EXPECT_NO_THROW(TrackerSim(cfg, disjoint_seeds(2, 16), capacities, 1));
+  cfg.multi_torrent_fraction = 1.0;
+  EXPECT_NO_THROW(TrackerSim(cfg, disjoint_seeds(1, 32), capacities, 1));
+
+  // Exponent 20 leaves swarm 1 about 1e-6 of the mass: a round with
+  // two-swarm arrivals completes.
+  cfg.zipf_exponent = 20.0;
+  TrackerSim tracker(cfg, disjoint_seeds(2, 16), capacities, 1);
+  std::size_t split_arrivals = 0;
+  for (std::size_t round = 0; round < 5; ++round) {
+    tracker.run_round();
+    for (const PeerRegistry::Record& rec : tracker.registry().records()) {
+      if (rec.id >= 32 && rec.memberships.size() == 2) ++split_arrivals;
+    }
+  }
+  EXPECT_GT(split_arrivals, 0u);
+}
+
 TEST(TrackerSim, ClosedOverlappingLayoutKeepsConstructionSplit) {
   // Swarms that share peers, with no churn and finished leechers
   // staying on as seeds: no membership is ever lost, so the barrier
