@@ -11,7 +11,8 @@
 #                    the delete-a-save-line R4 demo
 #   test_bench_compare  unit tests of scripts/bench_compare.py (paired
 #                    perfbench comparison) over fixture result lines,
-#                    and a key check of BENCH_perfbench.json
+#                    of scripts/bench_pairs.py over fake checkouts, and
+#                    a key check of BENCH_perfbench.json
 #
 # Python 3 ships on every CI image and dev box this repo targets; when
 # it is genuinely absent the lint tier is skipped with a notice (same

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Unit tests for scripts/bench_compare.py over fixture result lines, and a
-key check of the perf history in BENCH_perfbench.json.
+"""Unit tests for scripts/bench_compare.py over fixture result lines, for
+scripts/bench_pairs.py over fake checkouts, and a key check of the perf
+history in BENCH_perfbench.json.
 
     python3 scripts/tests/test_bench_compare.py
 """
@@ -18,6 +19,7 @@ sys.path.insert(0, str(SCRIPTS))
 sys.dont_write_bytecode = True  # keep scripts/ free of __pycache__
 
 import bench_compare  # noqa: E402
+import bench_pairs  # noqa: E402
 
 SPECS = {
     "end_to_end": [
@@ -149,6 +151,81 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(status, 0)
         self.assertEqual(set(rows), {"peer_rounds_per_s", "checkpoint_ms_p50", "setup_s"})
         self.assertTrue(all(r[8] == "none" for r in rows.values()))
+
+
+# A stand-in perfbench/run.py: logs "<side> <args>" to LOG, prints a
+# result line naming its side and call number, and exits 1 on the call
+# number FAIL_ON (0: never).
+FAKE_RUN = """import json, sys
+from pathlib import Path
+log = Path({log!r})
+calls = [l for l in log.read_text().splitlines() if l.startswith({side!r} + " ")]
+n = len(calls) + 1
+with log.open("a") as f:
+    f.write({side!r} + " " + " ".join(sys.argv[1:]) + "\\n")
+print("machine line")
+print(json.dumps({{"side": {side!r}, "call": n, "metrics": {{}}}}))
+sys.exit(1 if n == {fail_on} else 0)
+"""
+
+
+class BenchPairsTest(unittest.TestCase):
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.root = Path(self.dir.name)
+        self.log = self.root / "calls.log"
+        self.log.write_text("")
+        self.out = self.root / "out"
+
+    def tearDown(self):
+        self.dir.cleanup()
+
+    def checkout(self, side, fail_on=0):
+        run = self.root / side / "perfbench" / "run.py"
+        run.parent.mkdir(parents=True)
+        run.write_text(FAKE_RUN.format(log=str(self.log), side=side, fail_on=fail_on))
+        return self.root / side
+
+    def run_script(self, *extra, change_fail_on=0):
+        argv = [str(self.checkout("parent")), str(self.checkout("change", change_fail_on)),
+                "--workload", "churn_checkpoint", "--seed", "7", "--seconds", "2",
+                "--out", str(self.out), *extra]
+        with contextlib.redirect_stderr(io.StringIO()):
+            return bench_pairs.main(argv)
+
+    def results(self, side):
+        return [json.loads(l) for l in (self.out / f"{side}.jsonl").read_text().splitlines()]
+
+    def test_parent_runs_first_in_odd_pairs(self):
+        self.assertEqual(self.run_script("--pairs", "4"), 0)
+        calls = self.log.read_text().splitlines()
+        self.assertEqual([c.split()[0] for c in calls],
+                         ["parent", "change", "change", "parent"] * 2)
+        self.assertTrue(all(c.split(" ", 1)[1] ==
+                            "--workload churn_checkpoint --seed 7 --seconds 2 --trace 0"
+                            for c in calls))
+        for side in ("parent", "change"):
+            self.assertEqual([(r["side"], r["call"]) for r in self.results(side)],
+                             [(side, n) for n in range(1, 5)])
+
+    def test_output_feeds_bench_compare(self):
+        self.run_script("--pairs", "2")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = bench_compare.main([str(self.out / "parent.jsonl"),
+                                         str(self.out / "change.jsonl"),
+                                         "--benchmark", str(SCRIPTS.parent / "BENCHMARK.json")])
+        self.assertEqual(status, 0)
+
+    def test_failed_run_stops_and_keeps_whole_pairs(self):
+        with self.assertRaises(SystemExit):
+            self.run_script("--pairs", "3", change_fail_on=2)
+        self.assertEqual(len(self.results("parent")), 1)
+        self.assertEqual(len(self.results("change")), 1)
+
+    def test_checkout_without_run_py_is_rejected(self):
+        (self.root / "empty").mkdir()
+        with contextlib.redirect_stderr(io.StringIO()), self.assertRaises(SystemExit):
+            bench_pairs.main([str(self.root / "empty"), str(self.checkout("change"))])
 
 
 class BenchHistoryTest(unittest.TestCase):

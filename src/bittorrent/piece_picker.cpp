@@ -227,10 +227,12 @@ std::optional<PieceId> pick_scalar(const std::uint32_t* availability, std::size_
 #pragma GCC diagnostic ignored "-Wuninitialized"
 
 /// Each 16-piece group of a word is one masked load, flat in candidate
-/// density. The sweep keeps a per-lane running minimum and tie count
-/// (masked compare, move and add; no branch per group). Starting from
-/// UINT32_MAX with count 0, a candidate at UINT32_MAX still counts and
-/// an empty lane adds 0. The walk skips whole words by their tie count.
+/// density; a word with no candidate is skipped whole (one branch per
+/// word, none per group), so sparse picks touch only the words they
+/// need. The sweep keeps a per-lane running minimum and tie count
+/// (masked compare, move and add). Starting from UINT32_MAX with count
+/// 0, a candidate at UINT32_MAX still counts and an empty lane adds 0.
+/// The walk skips whole words by their tie count.
 /// Lanes past num_pieces are never candidates (Bitfield keeps them
 /// zero), so the masked loads never touch them.
 template <typename WordFn>
@@ -242,6 +244,7 @@ __attribute__((target("avx512f"))) std::optional<PieceId> pick_avx512(
   __m512i lane_ties = _mm512_setzero_si512();
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t mask = candidate_word(w);
+    if (mask == 0) continue;
     for (int j = 0; j < 4; ++j) {
       const auto m = static_cast<__mmask16>(mask >> (16 * j));
       const __m512i v = _mm512_maskz_loadu_epi32(m, availability + w * 64 + 16 * j);
@@ -260,6 +263,7 @@ __attribute__((target("avx512f"))) std::optional<PieceId> pick_avx512(
   std::uint64_t k = ties == 1 ? 0 : rng.below(ties);
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t mask = candidate_word(w);
+    if (mask == 0) continue;
     std::uint64_t hits = 0;
     for (int j = 0; j < 4; ++j) {
       const auto m = static_cast<__mmask16>(mask >> (16 * j));

@@ -506,38 +506,51 @@ void Swarm::record_mutual_unchokes() {
   // Mutual unchokes among present, still-downloading leechers: these
   // are the effective TFT collaborations the matching model describes.
   // No departures can occur between the choke step and here, so every
-  // unchoked target still owns a live row.
-  for (Row r = 0; r < table_.size(); ++r) {
-    if (stats_[r].seed || have_[r].complete()) continue;
-    const core::PeerId p = table_.id_at(r);
-    for (core::PeerId q : unchoked_[r]) {
-      if (q <= p) continue;
-      const Row qr = table_.row_of(q);
-      if (stats_[qr].seed || have_[qr].complete()) continue;
-      const auto& back = unchoked_[qr];
-      if (std::find(back.begin(), back.end(), p) != back.end()) {
-        ++mutual_rounds_[slot_of(r, q)];
-      }
-    }
-  }
+  // unchoked target still owns a live row. Only the lower-id endpoint
+  // records a pair, into its own row's slot, so rows write disjoint
+  // slots and read only phase-immutable state: chunks run concurrently
+  // and the integer counts match the serial pass at any thread count.
+  sim::parallel_for_chunks(table_.size(), fan_out(), kRowGrain,
+                           [&](std::size_t begin, std::size_t end, std::size_t) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               const auto r = static_cast<Row>(i);
+                               if (stats_[r].seed || have_[r].complete()) continue;
+                               const core::PeerId p = table_.id_at(r);
+                               for (const core::PeerId q : unchoked_[r]) {
+                                 if (q <= p) continue;
+                                 const Row qr = table_.row_of(q);
+                                 if (stats_[qr].seed || have_[qr].complete()) continue;
+                                 const auto& back = unchoked_[qr];
+                                 if (std::find(back.begin(), back.end(), p) != back.end()) {
+                                   ++mutual_rounds_[slot_of(r, q)];
+                                 }
+                               }
+                             }
+                           });
 }
 
-std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, graph::Rng& rng) {
+std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, bool& reserved_ready,
+                                       graph::Rng& rng) {
   if (config_.endgame) {
     const std::size_t missing = config_.num_pieces - stats_[qr].pieces;
     if (missing >= incoming_unchokes_[qr]) {
       // Non-endgame phase: each sender gets a distinct missing piece —
       // exclude pieces already in flight to q from other neighbors.
-      for (const PieceId piece : reserved_list_) reserved_scratch_.reset(piece);
-      reserved_list_.clear();
-      const auto& slots = nslot_[qr];
-      for (const std::size_t s : slots) {
-        if (s == slot_qp) continue;
-        const PieceId t = inflight_[s];
-        if (t != kNoPiece && !have_[qr].test(t)) {
-          reserved_scratch_.set(t);
-          reserved_list_.push_back(t);
+      // Built once per send_to call: its loop changes only
+      // inflight_[slot_qp], which is exempt, and a piece q completes
+      // meanwhile leaves the candidates through q's own bitfield.
+      if (!reserved_ready) {
+        for (const PieceId piece : reserved_list_) reserved_scratch_.reset(piece);
+        reserved_list_.clear();
+        for (const std::size_t s : nslot_[qr]) {
+          if (s == slot_qp) continue;
+          const PieceId t = inflight_[s];
+          if (t != kNoPiece && !have_[qr].test(t)) {
+            reserved_scratch_.set(t);
+            reserved_list_.push_back(t);
+          }
         }
+        reserved_ready = true;
       }
       return picker_.pick_rarest(have_[qr], have_[pr], reserved_scratch_, rng);
     }
@@ -548,21 +561,8 @@ std::optional<PieceId> Swarm::pick_for(Row qr, Row pr, std::size_t slot_qp, grap
   return picker_.pick_rarest(have_[qr], have_[pr], rng);
 }
 
-std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr, Row pr,
-                                        graph::Rng& rng, TransferScratch& scratch) {
-  bool endgame_dup = false;
-  if (config_.endgame) {
-    // Endgame discipline against the *local* view: the receiver's
-    // snapshot piece count plus what this lane completed for it.
-    const std::size_t missing =
-        config_.num_pieces - (stats_[qr].pieces + lane.completed.size());
-    endgame_dup = missing < incoming_unchokes_[qr];
-  }
-  if (endgame_dup && lane.completed.empty()) {
-    // Endgame phase: duplicate in-flight targets are allowed and there
-    // is no lane-local state to hold back — pick over the raw bitfields.
-    return picker_.pick_rarest(have_[qr], have_[pr], rng);
-  }
+void Swarm::build_reservations(const detail::TransferLane& lane, Row qr, bool endgame_dup,
+                               TransferScratch& scratch) const {
   if (scratch.reserved.size() != config_.num_pieces) {
     scratch.reserved = Bitfield(config_.num_pieces);
   }
@@ -598,8 +598,9 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
     // Soft-demote every piece the receiver already has partial progress
     // on: some lane is (or recently was) feeding it, so a speculative
     // fresh pick landing there is nearly guaranteed stale at commit.
-    // Unlike the in-flight tier this one is released below if no other
-    // candidate exists, so orphaned partials still get adopted.
+    // Unlike the in-flight tier this one is released by plan_pick's
+    // fallback if no other candidate exists, so orphaned partials still
+    // get adopted.
     for (const auto& entry : partial_[qr]) {
       if (scratch.reserved.test(entry.first)) continue;
       scratch.reserved.set(entry.first);
@@ -607,12 +608,47 @@ std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr
       scratch.reserved_partials.push_back(entry.first);
     }
   }
+  scratch.reserved_lane = &lane;
+  scratch.reserved_dup = endgame_dup;
+}
+
+std::optional<PieceId> Swarm::plan_pick(const detail::TransferLane& lane, Row qr, Row pr,
+                                        graph::Rng& rng, TransferScratch& scratch) {
+  bool endgame_dup = false;
+  if (config_.endgame) {
+    // Endgame discipline against the *local* view: the receiver's
+    // snapshot piece count plus what this lane completed for it.
+    const std::size_t missing =
+        config_.num_pieces - (stats_[qr].pieces + lane.completed.size());
+    endgame_dup = missing < incoming_unchokes_[qr];
+  }
+  if (endgame_dup && lane.completed.empty()) {
+    // Endgame phase: duplicate in-flight targets are allowed and there
+    // is no lane-local state to hold back — pick over the raw bitfields.
+    return picker_.pick_rarest(have_[qr], have_[pr], rng);
+  }
+  if (scratch.reserved_lane == &lane && scratch.reserved_dup == endgame_dup) {
+    // Repeat pick of the lane the set was built for: the snapshot
+    // tiers cannot have changed (compute reads only phase-start
+    // state), so only the lane's new completions join. Each was picked
+    // against this very set (a fallback drops it), so it sits in
+    // neither tier and joins the held ones, as a full build would.
+    for (std::size_t i = scratch.reserved_completed; i < lane.completed.size(); ++i) {
+      scratch.reserved.set(lane.completed[i]);
+      scratch.reserved_list.push_back(lane.completed[i]);
+    }
+  } else {
+    build_reservations(lane, qr, endgame_dup, scratch);
+  }
+  scratch.reserved_completed = lane.completed.size();
   const auto pick = picker_.pick_rarest(have_[qr], have_[pr], scratch.reserved, rng);
   if (pick || scratch.reserved_partials.empty()) return pick;
   // Fallback tier: everything else is reserved or held — let the
   // partially-downloaded pieces back in. The bits stay in
-  // reserved_list, so the next call's reset loop remains correct.
+  // reserved_list, so the next build's reset loop remains correct;
+  // the released set no longer matches the lane's, so drop the cache.
   for (const PieceId t : scratch.reserved_partials) scratch.reserved.reset(t);
+  scratch.reserved_lane = nullptr;
   return picker_.pick_rarest(have_[qr], have_[pr], scratch.reserved, rng);
 }
 
@@ -688,6 +724,7 @@ void Swarm::depart_peer(core::PeerId p, double when) {
 double Swarm::send_to(core::PeerId p, core::PeerId q, std::size_t slot_pq, double budget,
                       graph::Rng& rng) {
   double remaining = budget;
+  bool reserved_ready = false;  // reserved_scratch_ holds this call's exclusion
   // Apply bytes to pieces until the budget is spent or q stops wanting
   // anything p has. Rows are re-resolved every pass: a completion can
   // depart q (or compact p's row) mid-transfer.
@@ -698,7 +735,7 @@ double Swarm::send_to(core::PeerId p, core::PeerId q, std::size_t slot_pq, doubl
     const std::size_t slot_qp = mirror_[slot_pq];  // receiver-owned slot
     PieceId target = inflight_[slot_qp];
     if (target == kNoPiece || have_[qr].test(target) || !have_[pr].test(target)) {
-      const auto pick = pick_for(qr, pr, slot_qp, rng);
+      const auto pick = pick_for(qr, pr, slot_qp, reserved_ready, rng);
       if (!pick) break;
       target = *pick;
       inflight_[slot_qp] = target;
@@ -734,6 +771,7 @@ void Swarm::plan_transfers(core::PeerId p, TransferScratch& scratch) {
   // (receiver, sender-side slot): the slot is loop-invariant per pair,
   // so resolve it once instead of per redistribution pass.
   scratch.hungry.clear();
+  scratch.reserved_lane = nullptr;  // lanes are rebound to this plan's receivers
   for (core::PeerId q : unchoked_[pr]) {
     const Row qr = table_.row_of(q);
     if (qr == PeerTable::kNoRow) continue;  // departed before this phase

@@ -863,9 +863,16 @@ class Swarm {
   /// Rarest-first pick for the compute stage: endgame reservations come
   /// from the phase-start in-flight snapshot and the lane's local
   /// completions are always excluded (via the chunk-private bitfield).
+  /// The bitfield is cached per lane: a repeat pick of the same lane
+  /// in the same endgame mode adds only the lane's new completions.
   [[nodiscard]] std::optional<PieceId> plan_pick(const detail::TransferLane& lane, Row qr,
                                                 Row pr, graph::Rng& rng,
                                                 TransferScratch& scratch);
+  /// Builds plan_pick's exclusion set for `lane` from scratch (lane
+  /// completions and, outside endgame_dup, the in-flight and soft
+  /// partial tiers) and records it as the cached lane's.
+  void build_reservations(const detail::TransferLane& lane, Row qr, bool endgame_dup,
+                          TransferScratch& scratch) const;
   /// Commit stage: replays every plan in sender order, validating each
   /// (sender, receiver) lane's grant chain against live state. Valid
   /// lanes apply verbatim; a stale lane (receiver departed, piece
@@ -900,9 +907,11 @@ class Swarm {
                  graph::Rng& rng);
   /// Rarest-first pick for receiver row qr from sender row pr,
   /// honoring the endgame request discipline when configured (slot_qp
-  /// is q's slot toward p, exempt from the reservation scan).
+  /// is q's slot toward p, exempt from the reservation scan). The scan
+  /// fills reserved_scratch_ only while `reserved_ready` is false and
+  /// then sets it, so one send_to call builds the exclusion once.
   [[nodiscard]] std::optional<PieceId> pick_for(Row qr, Row pr, std::size_t slot_qp,
-                                                graph::Rng& rng);
+                                                bool& reserved_ready, graph::Rng& rng);
   void complete_piece(core::PeerId q, Row qr, PieceId piece);
   /// Removes a peer from the data plane at round coordinate `when`:
   /// availability counters drop, partial/in-flight state is discarded,
@@ -1009,6 +1018,12 @@ class Swarm {
     Bitfield reserved;  // sized lazily to num_pieces
     std::vector<PieceId> reserved_list;
     std::vector<PieceId> reserved_partials;  // soft tier, released on fallback
+    // The lane `reserved` was built for (null: none, e.g. after a
+    // fallback release), its endgame mode, and how many of the lane's
+    // completions it holds.
+    const detail::TransferLane* reserved_lane = nullptr;
+    bool reserved_dup = false;
+    std::size_t reserved_completed = 0;
   };
   // strat-lint: not-serialized -- per-worker compute scratch, cleared per phase
   std::vector<TransferScratch> transfer_scratch_;

@@ -14,12 +14,14 @@
 // certify the fan-out data-race-free.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "bittorrent/bandwidth.hpp"
 #include "bittorrent/reference_swarm.hpp"
 #include "bittorrent/scenario.hpp"
+#include "bittorrent/snapshot.hpp"
 #include "bittorrent/swarm.hpp"
 
 namespace strat::bt {
@@ -249,6 +251,51 @@ TEST(SwarmThreads, ConflictRerunCountersAreThreadCountInvariant) {
     EXPECT_EQ(serial_prof.transfer_lanes, prof.transfer_lanes) << "threads=" << threads;
     EXPECT_EQ(serial_prof.transfer_reruns, prof.transfer_reruns) << "threads=" << threads;
   }
+}
+
+TEST(SwarmThreads, ReservationCachePathsMatchReference) {
+  // The flat plane caches each pick's reservation set (once per lane in
+  // the planner, once per send_to call in the rerun); ReferenceSwarm
+  // rebuilds it on every pick. This config drives every cache path:
+  // 8 KB pieces against ~600 KB budgets make a lane complete several
+  // pieces within one share (repeat picks of one lane), 70%-complete
+  // receivers cross into endgame inside a lane (endgame_dup flips and
+  // the set is rebuilt), senders left holding only partially
+  // downloaded pieces take the soft-tier fallback (which drops the
+  // cache), and heavy churn makes lanes stale so that rerun send_to
+  // calls pick several pieces against one in-flight exclusion.
+  constexpr std::size_t kPeers = 300;
+  SwarmConfig cfg = base_config(kPeers);
+  cfg.num_pieces = 96;
+  cfg.piece_kb = 8.0;
+  cfg.initial_completion = 0.7;
+  const ChurnSpec spec = heavy_churn_spec();
+  const auto run_flat = [&](std::size_t threads, Snapshot& snap) {
+    cfg.threads = threads;
+    graph::Rng rng(kSeed);
+    Swarm swarm(cfg, capacities(kPeers), rng);
+    ChurnDriver<Swarm> churn(spec, cfg, capacities(kPeers), rng);
+    churn.attach(swarm);
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      churn.before_round(swarm);
+      swarm.run_round();
+    }
+    EXPECT_GT(swarm.phase_profile().transfer_reruns, 0u);
+    snap = snapshot_of(swarm);
+    return save_to_string(swarm);
+  };
+  Snapshot serial;
+  Snapshot threaded;
+  const std::string serial_bytes = run_flat(1, serial);
+  const std::string threaded_bytes = run_flat(4, threaded);
+  // save() records `threads`: re-save the threaded state under the
+  // serial config so the bytes compare everything else.
+  cfg.threads = 1;
+  const std::string rebased = save_to_string(resume_from_string(threaded_bytes, cfg).swarm());
+  EXPECT_TRUE(serial_bytes == rebased) << "save() bytes differ at threads=4 vs 1";
+  expect_bitwise_equal(serial, threaded, "reservation cache threads=4 vs 1");
+  const Snapshot oracle = run_plane_spec<ReferenceSwarm>(cfg, kPeers, &spec);
+  expect_bitwise_equal(serial, oracle, "reservation cache reference vs flat");
 }
 
 TEST(SwarmThreads, RealisticPieceEconomyKeepsRerunsMinor) {
