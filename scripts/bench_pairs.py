@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Run paired perfbench runs of a parent and a change checkout.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload NAME
-        [--seed N] [--pairs 10] [--seconds 15] [--trace 0|1] [--out DIR]
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR [--pairs 10] [--out DIR] \
+        --workload NAME [RUN_PY_OPTION ...]
 
-Runs `python3 perfbench/run.py` for one workload and seed in each
-checkout, alternating: the parent runs first in odd pairs (1, 3, ...)
-and the change first in even ones, so drift on the host lands on both
-sides. Each run's last stdout line is appended to DIR/parent.jsonl or
-DIR/change.jsonl (both truncated first; DIR defaults to the current
-directory), one line per run and pair i on line i of each, as
-`scripts/bench_compare.py` reads them. A pair is written only once both
-of its runs succeeded; a failed run stops the script with exit status
-2. Standard library only.
+Runs `python3 perfbench/run.py` in each checkout, alternating: the
+parent runs first in odd pairs (1, 3, ...) and the change first in even
+ones, so drift on the host lands on both sides. Every option other than
+--pairs and --out (--workload, --seed, --trace, ...) is passed to run.py
+as given, so run.py alone sets their defaults. Each run's last stdout
+line is appended to DIR/parent.jsonl or DIR/change.jsonl (both truncated
+first; DIR defaults to the current directory), one line per run and
+pair i on line i of each, as `scripts/bench_compare.py` reads them. A
+pair is written only once both of its runs succeeded; a failed run
+stops the script with exit status 2. Standard library only.
 """
 
 import argparse
@@ -60,20 +61,14 @@ def main(argv=None):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=15)
-    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--out", type=Path, default=Path("."))
-    args = parser.parse_args(argv)
+    args, run_args = parser.parse_known_args(argv)
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} has no perfbench/run.py")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    run_args = ["--workload", args.workload, "--seed", str(args.seed),
-                "--seconds", str(args.seconds), "--trace", str(args.trace)]
     args.out.mkdir(parents=True, exist_ok=True)
     run_pairs(args.parent.resolve(), args.change.resolve(), args.out, args.pairs, run_args)
     return 0

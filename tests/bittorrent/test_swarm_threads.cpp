@@ -99,7 +99,7 @@ Snapshot snapshot_of(const SwarmT& swarm) {
 
 template <typename SwarmT>
 Snapshot run_plane_spec(const SwarmConfig& cfg, std::size_t peers, const ChurnSpec* spec,
-                        Swarm::PhaseProfile* profile = nullptr) {
+                        Swarm::PhaseProfile* profile = nullptr, std::string* bytes = nullptr) {
   graph::Rng rng(kSeed);
   SwarmT swarm(cfg, capacities(peers), rng);
   if (spec == nullptr) {
@@ -114,6 +114,7 @@ Snapshot run_plane_spec(const SwarmConfig& cfg, std::size_t peers, const ChurnSp
   }
   if constexpr (std::is_same_v<SwarmT, Swarm>) {
     if (profile != nullptr) *profile = swarm.phase_profile();
+    if (bytes != nullptr) *bytes = save_to_string(swarm);
   }
   return snapshot_of(swarm);
 }
@@ -270,30 +271,20 @@ TEST(SwarmThreads, ReservationCachePathsMatchReference) {
   cfg.piece_kb = 8.0;
   cfg.initial_completion = 0.7;
   const ChurnSpec spec = heavy_churn_spec();
-  const auto run_flat = [&](std::size_t threads, Snapshot& snap) {
-    cfg.threads = threads;
-    graph::Rng rng(kSeed);
-    Swarm swarm(cfg, capacities(kPeers), rng);
-    ChurnDriver<Swarm> churn(spec, cfg, capacities(kPeers), rng);
-    churn.attach(swarm);
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      churn.before_round(swarm);
-      swarm.run_round();
-    }
-    EXPECT_GT(swarm.phase_profile().transfer_reruns, 0u);
-    snap = snapshot_of(swarm);
-    return save_to_string(swarm);
-  };
-  Snapshot serial;
-  Snapshot threaded;
-  const std::string serial_bytes = run_flat(1, serial);
-  const std::string threaded_bytes = run_flat(4, threaded);
+  Swarm::PhaseProfile profile;
+  std::string serial_bytes;
+  std::string threaded_bytes;
+  cfg.threads = 1;
+  const Snapshot serial = run_plane_spec<Swarm>(cfg, kPeers, &spec, &profile, &serial_bytes);
+  EXPECT_GT(profile.transfer_reruns, 0u);
+  cfg.threads = 4;
+  const Snapshot threaded = run_plane_spec<Swarm>(cfg, kPeers, &spec, nullptr, &threaded_bytes);
+  expect_bitwise_equal(serial, threaded, "reservation cache threads=4 vs 1");
   // save() records `threads`: re-save the threaded state under the
   // serial config so the bytes compare everything else.
   cfg.threads = 1;
   const std::string rebased = save_to_string(resume_from_string(threaded_bytes, cfg).swarm());
   EXPECT_TRUE(serial_bytes == rebased) << "save() bytes differ at threads=4 vs 1";
-  expect_bitwise_equal(serial, threaded, "reservation cache threads=4 vs 1");
   const Snapshot oracle = run_plane_spec<ReferenceSwarm>(cfg, kPeers, &spec);
   expect_bitwise_equal(serial, oracle, "reservation cache reference vs flat");
 }
